@@ -21,14 +21,13 @@ FlowSizeHistogram FlowSizeDistributionForLink(Controller& controller,
 
 uint64_t SubscribeFlowSizeDistribution(SubscriptionManager& manager,
                                        const std::vector<HostId>& hosts, LinkId link,
-                                       TimeRange range, int64_t bin_width,
-                                       SimTime epoch_period) {
+                                       TimeRange range, int64_t bin_width) {
   StandingQuerySpec spec;
   spec.kind = StandingQuerySpec::Kind::kFlowSizeHistogram;
   spec.link = link;
   spec.range = range;
   spec.bin_width = bin_width;
-  return manager.Subscribe(hosts, spec, epoch_period);
+  return manager.Subscribe(hosts, spec);
 }
 
 FlowSizeHistogram FlowSizeDistributionStanding(SubscriptionManager& manager,

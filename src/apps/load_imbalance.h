@@ -36,8 +36,7 @@ FlowSizeHistogram FlowSizeDistributionForLink(Controller& controller,
 // working alongside.
 uint64_t SubscribeFlowSizeDistribution(SubscriptionManager& manager,
                                        const std::vector<HostId>& hosts, LinkId link,
-                                       TimeRange range, int64_t bin_width = 10000,
-                                       SimTime epoch_period = 0);
+                                       TimeRange range, int64_t bin_width = 10000);
 
 // Materializes the standing histogram (flushes in-flight deltas
 // first).  The bin width (like every query parameter) is the

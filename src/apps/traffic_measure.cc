@@ -20,12 +20,12 @@ TopKFlows TopKAcrossHosts(Controller& controller, const std::vector<HostId>& hos
 }
 
 uint64_t SubscribeTopK(SubscriptionManager& manager, const std::vector<HostId>& hosts, size_t k,
-                       TimeRange range, SimTime epoch_period) {
+                       TimeRange range) {
   StandingQuerySpec spec;
   spec.kind = StandingQuerySpec::Kind::kTopK;
   spec.k = k;
   spec.range = range;
-  return manager.Subscribe(hosts, spec, epoch_period);
+  return manager.Subscribe(hosts, spec);
 }
 
 TopKFlows TopKStanding(SubscriptionManager& manager, uint64_t subscription_id) {
@@ -53,12 +53,12 @@ FlowList FlowsOnLinkAcrossHosts(Controller& controller, const std::vector<HostId
 }
 
 uint64_t SubscribeFlowList(SubscriptionManager& manager, const std::vector<HostId>& hosts,
-                           LinkId link, TimeRange range, SimTime epoch_period) {
+                           LinkId link, TimeRange range) {
   StandingQuerySpec spec;
   spec.kind = StandingQuerySpec::Kind::kFlowList;
   spec.link = link;
   spec.range = range;
-  return manager.Subscribe(hosts, spec, epoch_period);
+  return manager.Subscribe(hosts, spec);
 }
 
 FlowList FlowListStanding(SubscriptionManager& manager, uint64_t subscription_id) {
@@ -84,12 +84,12 @@ CountSummary CountOnLinkAcrossHosts(Controller& controller, const std::vector<Ho
 }
 
 uint64_t SubscribeCountSummary(SubscriptionManager& manager, const std::vector<HostId>& hosts,
-                               LinkId link, TimeRange range, SimTime epoch_period) {
+                               LinkId link, TimeRange range) {
   StandingQuerySpec spec;
   spec.kind = StandingQuerySpec::Kind::kCountSummary;
   spec.link = link;
   spec.range = range;
-  return manager.Subscribe(hosts, spec, epoch_period);
+  return manager.Subscribe(hosts, spec);
 }
 
 CountSummary CountSummaryStanding(SubscriptionManager& manager, uint64_t subscription_id) {

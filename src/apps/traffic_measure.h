@@ -26,7 +26,7 @@ TopKFlows TopKAcrossHosts(Controller& controller, const std::vector<HostId>& hos
 // byte-identical to a direct-poll TopKAcrossHosts over the same TIB
 // contents.  The poll path above keeps working — both consume the TIB.
 uint64_t SubscribeTopK(SubscriptionManager& manager, const std::vector<HostId>& hosts, size_t k,
-                       TimeRange range = TimeRange::All(), SimTime epoch_period = 0);
+                       TimeRange range = TimeRange::All());
 
 // Materializes the standing top-k (flushes in-flight deltas first).
 // The k (like every query parameter) is the subscription's own spec.
@@ -43,8 +43,7 @@ FlowList FlowsOnLinkAcrossHosts(Controller& controller, const std::vector<HostId
 // incrementally.  At any epoch boundary FlowListStanding is
 // byte-identical to FlowsOnLinkAcrossHosts over the same TIB contents.
 uint64_t SubscribeFlowList(SubscriptionManager& manager, const std::vector<HostId>& hosts,
-                           LinkId link, TimeRange range = TimeRange::All(),
-                           SimTime epoch_period = 0);
+                           LinkId link, TimeRange range = TimeRange::All());
 
 // Materializes the standing flow list (flushes in-flight deltas first).
 FlowList FlowListStanding(SubscriptionManager& manager, uint64_t subscription_id);
@@ -58,8 +57,7 @@ CountSummary CountOnLinkAcrossHosts(Controller& controller, const std::vector<Ho
 // Standing variant of the link count; byte-identical to
 // CountOnLinkAcrossHosts at any epoch boundary.
 uint64_t SubscribeCountSummary(SubscriptionManager& manager, const std::vector<HostId>& hosts,
-                               LinkId link, TimeRange range = TimeRange::All(),
-                               SimTime epoch_period = 0);
+                               LinkId link, TimeRange range = TimeRange::All());
 
 // Materializes the standing count (flushes in-flight deltas first).
 CountSummary CountSummaryStanding(SubscriptionManager& manager, uint64_t subscription_id);

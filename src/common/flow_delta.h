@@ -50,14 +50,6 @@ struct FlowBytesDelta {
   // zero-byte item still creates its key, matching AggregateFlowBytes).
   void ApplyTo(FlowBytesMap& acc) const;
 
-  // Merges `in` into this delta, summing bytes of shared flows; the
-  // result stays sorted.  Merging then serializing must agree with the
-  // per-item size accounting (tests/query_serialization_test.cc).
-  // Forward reference: today only the size-consistency tests call this;
-  // its consumer is cross-epoch delta compaction for slow subscribers
-  // (ROADMAP follow-on under "Standing queries").
-  void Merge(const FlowBytesDelta& in);
-
   friend bool operator==(const FlowBytesDelta&, const FlowBytesDelta&) = default;
 };
 

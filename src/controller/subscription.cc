@@ -38,12 +38,12 @@ SubscriptionManager::~SubscriptionManager() {
 }
 
 uint64_t SubscriptionManager::Subscribe(const std::vector<HostId>& hosts,
-                                        const StandingQuerySpec& spec, SimTime epoch_period) {
+                                        const StandingQuerySpec& spec) {
   // Publish the subscription (hosts + fold state) BEFORE attaching any
-  // agent-side hook: with a periodic epoch ticker the first delta can
-  // arrive the moment a hook exists, and it must find the subscription
-  // — an orphaned epoch 1 would leave the accumulator ahead of the
-  // fold state and wedge that host's in-order fold for good.
+  // agent-side hook: an EpochTick running concurrently on another thread
+  // can ship the first delta the moment a hook exists, and it must find
+  // the subscription — an orphaned epoch 1 would leave the accumulator
+  // ahead of the fold state and wedge that host's in-order fold for good.
   Subscription sub;
   sub.spec = spec;
   std::vector<EdgeAgent*> agents;
@@ -69,14 +69,10 @@ uint64_t SubscriptionManager::Subscribe(const std::vector<HostId>& hosts,
   for (EdgeAgent* agent : agents) {
     AgentAttachment att;
     att.agent = agent;
+    att.agent_alive = agent->lifetime();
     att.standing_id = agent->RegisterStandingQuery(
         id, spec, [this](QueryDelta&& delta) { SubmitDelta(std::move(delta)); });
-    if (epoch_period > 0) {
-      const int standing_id = att.standing_id;
-      att.periodic_id = agent->InstallQuery(
-          epoch_period, [standing_id](EdgeAgent& a, SimTime) { a.EpochTickOne(standing_id); });
-    }
-    attachments.push_back(att);
+    attachments.push_back(std::move(att));
   }
   bool unsubscribed_meanwhile = false;
   {
@@ -117,15 +113,11 @@ uint64_t SubscriptionManager::SubscribeRemote(const std::vector<HostId>& hosts,
 }
 
 void SubscriptionManager::DetachAgents(Subscription& sub) {
-  for (AgentAttachment& att : sub.attachments) {
-    if (att.agent == nullptr) {
-      continue;
+  for (const AgentAttachment& att : sub.attachments) {
+    // A destroyed agent took its registrations with it.
+    if (!att.agent_alive.expired()) {
+      att.agent->UnregisterStandingQuery(att.standing_id);
     }
-    if (att.periodic_id >= 0) {
-      att.agent->UninstallQuery(att.periodic_id);
-    }
-    att.agent->UnregisterStandingQuery(att.standing_id);
-    att.agent = nullptr;
   }
 }
 
@@ -144,22 +136,11 @@ void SubscriptionManager::Unsubscribe(uint64_t id) {
 }
 
 void SubscriptionManager::TickEpoch() {
-  // Snapshot the attachments, then tick outside state_mu_: a full
-  // intake queue blocks the ticking thread, and the drain worker needs
-  // state_mu_ to fold its way out.
-  std::vector<std::pair<EdgeAgent*, int>> targets;
-  {
-    std::lock_guard<std::mutex> state(state_mu_);
-    for (auto& [id, sub] : subscriptions_) {
-      for (const AgentAttachment& att : sub.attachments) {
-        if (att.agent != nullptr) {
-          targets.emplace_back(att.agent, att.standing_id);
-        }
-      }
-    }
-  }
-  for (auto& [agent, standing_id] : targets) {
-    agent->EpochTickOne(standing_id);
+  // No manager lock is held while ticking: a full intake queue blocks
+  // the ticking thread, and the drain worker needs state_mu_ to fold its
+  // way out.
+  for (HostId h : controller_->registered_hosts()) {
+    controller_->agent(h)->EpochTick();
   }
 }
 
@@ -361,7 +342,7 @@ bool SubscriptionManager::Resync(uint64_t id, HostId host) {
       return false;
     }
     for (const AgentAttachment& att : it->second.attachments) {
-      if (att.agent != nullptr && att.agent->host() == host) {
+      if (!att.agent_alive.expired() && att.agent->host() == host) {
         agent = att.agent;
         break;
       }

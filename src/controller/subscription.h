@@ -43,6 +43,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <unordered_map>
 #include <vector>
@@ -104,9 +105,10 @@ struct SubscriptionInfo {
 class SubscriptionManager {
  public:
   explicit SubscriptionManager(Controller* controller, SubscriptionManagerOptions options = {});
-  // Unsubscribes everything (detaching agent-side accumulators), drains
-  // deltas already accepted, then joins the drain worker.  External
-  // epoch tickers must stop first.
+  // Unsubscribes everything (detaching accumulators from agents still
+  // alive — agents may die before or after the manager), drains deltas
+  // already accepted, then joins the drain worker.  External epoch
+  // tickers must stop first.
   ~SubscriptionManager();
 
   SubscriptionManager(const SubscriptionManager&) = delete;
@@ -114,11 +116,9 @@ class SubscriptionManager {
 
   // Installs `spec` on every registered agent in `hosts` (unregistered
   // hosts are skipped, exactly like a poll Execute) and returns the
-  // subscription id.  If `epoch_period > 0`, a periodic query is also
-  // installed on each agent so the agent's own Tick drives epoch ticks;
-  // otherwise epochs are driven explicitly via TickEpoch().
-  uint64_t Subscribe(const std::vector<HostId>& hosts, const StandingQuerySpec& spec,
-                     SimTime epoch_period = 0);
+  // subscription id.  Epochs end at EdgeAgent::EpochTick — driven here
+  // by TickEpoch(), or by whoever else ticks the agents.
+  uint64_t Subscribe(const std::vector<HostId>& hosts, const StandingQuerySpec& spec);
 
   // Transport variant: creates the subscription and the per-host fold
   // state for every listed host without attaching any in-process
@@ -134,9 +134,13 @@ class SubscriptionManager {
   // and discarded.
   void Unsubscribe(uint64_t id);
 
-  // Explicit epoch boundary: ticks every (subscription, host) now, on
-  // the calling thread.  Deltas flow through the normal channel; call
-  // Flush() (or Materialize, which flushes) before reading results.
+  // Epoch boundary for the in-process fleet: calls EdgeAgent::EpochTick
+  // once on every agent registered with the controller, in registration
+  // order, on the calling thread — each agent ticks its standing
+  // registrations (whoever owns them) and seals its TIB, exactly as an
+  // agent process does on a shm EpochTick frame.  Deltas flow through
+  // the normal channel; call Flush() (or Materialize, which flushes)
+  // before reading results.
   void TickEpoch();
 
   // Channel intake: stamps QueryDelta::seq and enqueues.  Blocks while
@@ -209,8 +213,8 @@ class SubscriptionManager {
   };
   struct AgentAttachment {
     EdgeAgent* agent = nullptr;
+    std::weak_ptr<const void> agent_alive;  // EdgeAgent::lifetime()
     int standing_id = -1;
-    int periodic_id = -1;  // -1 when epochs are driven explicitly
   };
   struct Subscription {
     StandingQuerySpec spec;
@@ -228,8 +232,8 @@ class SubscriptionManager {
   // `keys` carries the (sub, host, epoch) correlation for the fold span.
   void FoldReady(Subscription& sub, HostState& hs, const PendingDelta& delta,
                  const TraceKeys& keys);
-  // Uninstalls the periodic ticks and accumulators on every attached
-  // agent; must be called WITHOUT state_mu_ held (takes agent locks).
+  // Unregisters the accumulators on every attached agent still alive;
+  // must be called WITHOUT state_mu_ held (takes agent locks).
   void DetachAgents(Subscription& sub);
 
   Controller* const controller_;

@@ -386,25 +386,6 @@ int EdgeAgent::RegisterStandingQuery(uint64_t subscription_id, const StandingQue
   return id;
 }
 
-// One gated tick: skips registrations already detached (their sink's
-// target may be mid-destruction), and holds the gate across the sink
-// call so unregister can fence the delivery out.
-bool EdgeAgent::TickRegistration(StandingRegistration& reg) {
-  static Counter* ticks = MetricsRegistry::Global().GetCounter("epoch.ticks");
-  ticks->Add();
-  TraceScope span("epoch.tick", TraceKeys{reg.accumulator->subscription_id(),
-                                          uint32_t(reg.accumulator->host()), 0});
-  std::lock_guard<std::mutex> gate(reg.gate);
-  if (reg.detached) {
-    return false;
-  }
-  if (auto delta = reg.accumulator->TakeDelta()) {
-    span.set_keys(TraceKeys{delta->subscription_id, uint32_t(delta->host), delta->epoch});
-    reg.sink(std::move(*delta));
-  }
-  return true;
-}
-
 void EdgeAgent::UnregisterStandingQuery(int id) {
   std::shared_ptr<StandingRegistration> reg;
   {
@@ -431,6 +412,7 @@ void EdgeAgent::UnregisterStandingQuery(int id) {
 }
 
 void EdgeAgent::EpochTick() {
+  static Counter* ticks = MetricsRegistry::Global().GetCounter("epoch.ticks");
   std::vector<std::shared_ptr<StandingRegistration>> regs;
   {
     std::lock_guard<std::mutex> lock(reg_mu_);
@@ -440,7 +422,20 @@ void EdgeAgent::EpochTick() {
     }
   }
   for (const auto& reg : regs) {
-    TickRegistration(*reg);
+    ticks->Add();
+    TraceScope span("epoch.tick", TraceKeys{reg->accumulator->subscription_id(),
+                                            uint32_t(host_), 0});
+    // Gated: skip registrations already detached (their sink's target
+    // may be mid-destruction), and hold the gate across the sink call so
+    // unregister can fence the delivery out.
+    std::lock_guard<std::mutex> gate(reg->gate);
+    if (reg->detached) {
+      continue;
+    }
+    if (auto delta = reg->accumulator->TakeDelta()) {
+      span.set_keys(TraceKeys{delta->subscription_id, uint32_t(delta->host), delta->epoch});
+      reg->sink(std::move(*delta));
+    }
   }
   // Seal the TIB's open epoch segments AFTER ticking: every record of the
   // closing epoch has already been folded into each accumulator's partial
@@ -450,19 +445,6 @@ void EdgeAgent::EpochTick() {
   // zero registrations — epoch windows are an agent-lifecycle notion, and
   // bounded in-test twins must seal in lockstep with bounded workers.
   tib_.SealEpoch();
-}
-
-bool EdgeAgent::EpochTickOne(int id) {
-  std::shared_ptr<StandingRegistration> reg;
-  {
-    std::lock_guard<std::mutex> lock(reg_mu_);
-    auto it = standing_.find(id);
-    if (it == standing_.end()) {
-      return false;
-    }
-    reg = it->second;
-  }
-  return TickRegistration(*reg);
 }
 
 size_t EdgeAgent::StandingQueryCount() const {
@@ -482,7 +464,7 @@ size_t EdgeAgent::ResyncStandingQuery(uint64_t subscription_id) {
   }
   size_t delivered = 0;
   for (const auto& reg : regs) {
-    // Same gate discipline as TickRegistration: hold it across the sink
+    // Same gate discipline as EpochTick: hold it across the sink
     // call so UnregisterStandingQuery can fence the delivery out.
     std::lock_guard<std::mutex> gate(reg->gate);
     if (reg->detached) {

@@ -207,7 +207,7 @@ class EdgeAgent {
 
   using DeltaSink = std::function<void(QueryDelta&&)>;
 
-  // Registers the accumulator; returns a handle for EpochTickOne /
+  // Registers the accumulator; returns a handle for
   // UnregisterStandingQuery.  Cost per subsequent insert: one filter
   // check + one hash-map bump on matching records.
   int RegisterStandingQuery(uint64_t subscription_id, const StandingQuerySpec& spec,
@@ -218,18 +218,21 @@ class EdgeAgent {
   // concurrent EpochTick may still be delivering the final delta.
   void UnregisterStandingQuery(int id);
 
-  // Epoch ticks: snapshot + reset the partials and push the delta (if
-  // any) to the sink, then seal the TIB's open epoch segments
-  // (Tib::SealEpoch) — the agent-level epoch boundary that makes whole
-  // segments the unit of memory-ceiling retirement.  Ticking precedes
-  // sealing, so a closing segment's contribution is always folded before
-  // it can retire; sealing runs even with zero registrations.
-  // EpochTickOne ticks one registration WITHOUT sealing (a
-  // per-subscription cadence hook, not an agent epoch boundary); it
-  // returns false for an unknown id.
+  // The agent's epoch boundary, and the only one: every registration
+  // snapshots + resets its partials and pushes the delta (if any) to its
+  // sink, then the TIB's open epoch segments are sealed (Tib::SealEpoch),
+  // which makes whole segments the unit of memory-ceiling retirement.
+  // Ticking precedes sealing, so a closing segment's contribution is
+  // always folded before it can retire; sealing runs even with zero
+  // registrations.  Both transport backends end an epoch here.
   void EpochTick();
-  bool EpochTickOne(int id);
   size_t StandingQueryCount() const;
+
+  // Expires when this agent is destroyed.  A subscriber that keeps a
+  // raw EdgeAgent* past the agent's life (SubscriptionManager
+  // attachments) checks it before calling back in, so agent and
+  // subscriber may be torn down in either order.
+  std::weak_ptr<const void> lifetime() const { return lifetime_; }
 
   // Crash-recovery resync: every registration owned by `subscription_id`
   // takes a full-baseline snapshot (StandingQueryAccumulator::TakeSnapshot
@@ -325,10 +328,11 @@ class EdgeAgent {
     std::mutex gate;
     bool detached = false;  // guarded by gate
   };
-  // Runs one gated tick; returns false if the registration is detached.
-  static bool TickRegistration(StandingRegistration& reg);
   int next_standing_id_ = 1;
   std::map<int, std::shared_ptr<StandingRegistration>> standing_;
+
+  // Declared last, so it expires before any other member dies.
+  const std::shared_ptr<const void> lifetime_ = std::make_shared<char>();
 };
 
 }  // namespace pathdump

@@ -195,7 +195,8 @@ class Tib {
   // then enforces max_memory_bytes by retiring the oldest sealed epochs
   // whole.  EdgeAgent::EpochTick calls this at every epoch boundary,
   // AFTER ticking standing registrations, so a segment's contribution is
-  // always folded into accumulator partials before it can retire.
+  // always folded into accumulator partials before it can retire.  That
+  // is the one epoch boundary on either transport backend.
   void SealEpoch();
 
   // Accounted resident bytes (this instance).  See TibMemoryStats.

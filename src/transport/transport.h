@@ -190,10 +190,12 @@ class TransportHub {
   // frame broadcast on each peer's command ring.
   uint64_t Subscribe(const std::vector<HostId>& hosts, const StandingQuerySpec& spec);
 
-  // Epoch boundary.  In-process: ticks synchronously (TickEpoch) and the
-  // returned token is already satisfied.  Shm: broadcasts an EpochTick
-  // frame; agents tick and ack with the token — pair with WaitForAcks
-  // before asserting on materialized state.
+  // Epoch boundary: every agent runs EdgeAgent::EpochTick (ticks its
+  // standing registrations, then seals and evicts its TIB).  In-process:
+  // synchronously, via SubscriptionManager::TickEpoch, and the returned
+  // token is already satisfied.  Shm: broadcasts an EpochTick frame;
+  // agents tick and ack with the token — pair with WaitForAcks before
+  // asserting on materialized state.
   uint64_t SendEpochTick();
 
   // Test/bench harness: ask every agent to insert `count` synthetic

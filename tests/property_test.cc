@@ -69,12 +69,17 @@ TEST_P(DecodeEquivalence, EveryDeliveredPacketDecodesToItsTrace) {
   EXPECT_GT(checked, 200u);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    KindsAndModes, DecodeEquivalence,
-    ::testing::Values(PipelineParam{TopologyKind::kFatTree, LoadBalanceMode::kEcmpHash},
-                      PipelineParam{TopologyKind::kFatTree, LoadBalanceMode::kPacketSpray},
-                      PipelineParam{TopologyKind::kVl2, LoadBalanceMode::kEcmpHash},
-                      PipelineParam{TopologyKind::kVl2, LoadBalanceMode::kPacketSpray}));
+// The parameters live in a static array so their padding bytes are zero:
+// gtest names each case by printing the param's raw bytes, and params built
+// as temporaries carry stack garbage in the padding, which made the
+// discovered test names differ from run to run.
+constexpr PipelineParam kPipelineParams[] = {
+    {TopologyKind::kFatTree, LoadBalanceMode::kEcmpHash},
+    {TopologyKind::kFatTree, LoadBalanceMode::kPacketSpray},
+    {TopologyKind::kVl2, LoadBalanceMode::kEcmpHash},
+    {TopologyKind::kVl2, LoadBalanceMode::kPacketSpray}};
+
+INSTANTIATE_TEST_SUITE_P(KindsAndModes, DecodeEquivalence, ::testing::ValuesIn(kPipelineParams));
 
 // --- Decoder fuzz: arbitrary tag sequences must never crash and must only
 // accept trajectories that are feasible w.r.t. the topology. ---

@@ -398,46 +398,18 @@ TEST(StandingQueryOrdering, OrphanedDeltasAreCountedNotFolded) {
   EXPECT_EQ(manager.stats().deltas_folded, 0u);
 }
 
-// --- Periodic-driven epochs via the agent's own Tick ---
-
-TEST(StandingQueryPeriodic, AgentTickDrivesEpochs) {
-  Testbed tb(1, 4);
-  EdgeAgent& agent = *tb.agents[0];
-  SubscriptionManager manager(&tb.controller);
-  uint64_t sub =
-      SubscribeTopK(manager, tb.hosts, kTopK, TimeRange::All(), /*epoch_period=*/kNsPerSec);
-  EXPECT_EQ(agent.InstalledQueryCount(), 1u);
-
-  std::vector<TibRecord> records = MakeRecords(4000, 0x71C);
-  for (size_t i = 0; i < 2000; ++i) {
-    agent.tib().Insert(records[i]);
-  }
-  agent.Tick(2 * kNsPerSec);  // periodic epoch boundary fires
-  for (size_t i = 2000; i < records.size(); ++i) {
-    agent.tib().Insert(records[i]);
-  }
-  agent.Tick(4 * kNsPerSec);
-  manager.Flush();
-  EXPECT_EQ(manager.info(sub).deltas_folded, 2u);
-
-  auto [poll, stats] = tb.controller.Execute(tb.hosts, PollTopK());
-  EXPECT_EQ(manager.Materialize(sub), poll);
-
-  manager.Unsubscribe(sub);
-  EXPECT_EQ(agent.InstalledQueryCount(), 0u);  // periodic tick uninstalled too
-}
-
 // --- 5. Property: randomized arrival interleavings fold to poll identity ---
 //
 // The channel contract says arrival order can never leak into results:
 // the manager folds strictly in epoch order per (subscription, host),
 // buffering gaps and dropping duplicates/orphans.  This fuzz-style case
 // attacks that with seeded randomized schedules across ALL FOUR standing
-// kinds at once: epoch deltas are captured at the agent (a second
-// accumulator registered with the subscription's own id and a capturing
-// sink — the manager's accumulators are never ticked), then replayed
-// into SubmitDelta in a shuffled order with random duplicates and
-// orphans injected.  After the full fold every kind must equal its poll
+// kinds at once: each subscription is created with fold state only
+// (SubscribeRemote — no accumulator of the manager's on the agent), its
+// epoch deltas are captured at the agent (an accumulator registered with
+// the subscription's own id and a capturing sink), then replayed into
+// SubmitDelta in a shuffled order with random duplicates and orphans
+// injected.  After the full fold every kind must equal its poll
 // twin.  On mismatch the failing seed is in the assertion message —
 // rerun with it to reproduce.
 
@@ -478,7 +450,7 @@ TEST(StandingQueryProperty, RandomizedArrivalsFoldToPollIdentityAllKinds) {
         {count_spec, PollCount()}};
     for (const auto& [spec, poll] : kind_specs) {
       KindUnderTest k;
-      k.sub = manager.Subscribe(tb.hosts, spec);
+      k.sub = manager.SubscribeRemote(tb.hosts, spec);
       k.capture_id = agent.RegisterStandingQuery(
           k.sub, spec, [&captured](QueryDelta&& d) { captured.push_back(std::move(d)); });
       k.poll = poll;
@@ -491,9 +463,7 @@ TEST(StandingQueryProperty, RandomizedArrivalsFoldToPollIdentityAllKinds) {
       for (int i = epoch * kPerEpoch; i < (epoch + 1) * kPerEpoch; ++i) {
         agent.tib().Insert(records[size_t(i)]);
       }
-      for (const KindUnderTest& k : kinds) {
-        agent.EpochTickOne(k.capture_id);
-      }
+      agent.EpochTick();
     }
     for (const KindUnderTest& k : kinds) {
       agent.UnregisterStandingQuery(k.capture_id);

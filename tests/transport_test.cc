@@ -13,18 +13,24 @@
 //     over BOTH TransportOptions backends: the in-process path unchanged,
 //     and the shared-memory path with every agent behind a real ring
 //     (threaded here; tests/transport_multiproc_test.cc forks processes).
+//     A ceiling axis runs the same backends under a TIB memory ceiling:
+//     the hub's epoch tick seals and evicts on both, and standing results
+//     stay equal to polls over an unbounded shadow fleet.  Agents may be
+//     destroyed before or after the manager and the hub.
 //  5. Reactor resilience — malformed frames on a live ring are counted
 //     by category and the stream recovers; sequence gaps surface in
 //     TransportStats.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
+#include <variant>
 #include <vector>
 
 #include <unistd.h>
@@ -324,10 +330,11 @@ Controller::QueryFn PollFor(const StandingQuerySpec& spec) {
 // client, with the usual per-host seed offset.
 class ShmAgentThread {
  public:
-  ShmAgentThread(std::string name, HostId host, size_t shards, const Topology* topo,
-                 const CherryPickCodec* codec,
-                 transport::FaultInjectorConfig fault = {}) {
-    thread_ = std::thread([name = std::move(name), host, shards, topo, codec, fault] {
+  ShmAgentThread(std::string name, HostId host, const EdgeAgentConfig& cfg,
+                 const Topology* topo, const CherryPickCodec* codec,
+                 transport::FaultInjectorConfig fault = {})
+      : agent_(host, topo, codec, cfg) {
+    thread_ = std::thread([this, name = std::move(name), host, fault] {
       auto client = ShmAgentClient::Open(name);
       if (client == nullptr) {
         ADD_FAILURE() << "cannot map " << name;
@@ -338,9 +345,7 @@ class ShmAgentThread {
         cfg.seed += host;
         client->SetFaultInjector(cfg);
       }
-      EdgeAgentConfig cfg;
-      cfg.tib_options.num_shards = shards;
-      EdgeAgent agent(host, topo, codec, cfg);
+      EdgeAgent& agent = agent_;
       agent.SetAlarmHandler(client->MakeAlarmSink());
       client->SendHello(host);
       for (;;) {
@@ -381,7 +386,12 @@ class ShmAgentThread {
   }
   ~ShmAgentThread() { thread_.join(); }
 
+  // The agent behind the ring.  Its TIB synchronizes itself, so the test
+  // thread may read it while the command loop runs.
+  const EdgeAgent& agent() const { return agent_; }
+
  private:
+  EdgeAgent agent_;
   std::thread thread_;
 };
 
@@ -389,18 +399,18 @@ class ShmAgentThread {
 // the poll reference ("twins"); on the in-process backend they are also
 // the standing-query agents, on the shm backend the standing agents live
 // behind rings (ShmAgentThread) and ingest identical records derived
-// from the shared (seed + host) convention.
+// from the shared (seed + host) convention.  `tib_max_bytes` is the TIB
+// ceiling of the standing agents; the shm backend's twins are never
+// ticked, so they stay unbounded.
 struct TransportTestbed {
   Topology topo;
   LinkLabelMap labels;
   CherryPickCodec codec;
   Controller controller;
-  // Destruction order is load-bearing: threads exit first (Shutdown is
-  // sent in the destructor body), then the hub joins its reactor, then
-  // the manager detaches its in-process accumulators while the twins
-  // are still alive, then the twins die.
   std::vector<std::unique_ptr<EdgeAgent>> twins;
   SubscriptionManager manager;
+  // Borrows the manager, so it is declared after it and dies first.
+  // Agent threads are stopped explicitly in the destructor body.
   TransportHub hub;
   std::vector<std::unique_ptr<ShmAgentThread>> threads;
   std::vector<HostId> hosts;
@@ -415,32 +425,50 @@ struct TransportTestbed {
 
   TransportTestbed(Backend b, size_t num_agents, size_t shards,
                    SubscriptionManagerOptions mopts = {},
-                   transport::FaultInjectorConfig fault = {})
+                   transport::FaultInjectorConfig fault = {}, size_t tib_max_bytes = 0)
       : topo(BuildFatTree(4)),
         labels(&topo),
         codec(&topo, &labels),
         manager(&controller, mopts),
         hub(&controller, &manager, MakeOptions(b)),
         backend(b) {
+    EdgeAgentConfig cfg;
+    cfg.tib_options.num_shards = shards;
+    EdgeAgentConfig bounded = cfg;
+    bounded.tib_options.max_memory_bytes = tib_max_bytes;
     for (size_t a = 0; a < num_agents; ++a) {
       HostId h = topo.hosts()[a];
       hosts.push_back(h);
-      EdgeAgentConfig cfg;
-      cfg.tib_options.num_shards = shards;
-      twins.push_back(std::make_unique<EdgeAgent>(h, &topo, &codec, cfg));
       if (b == Backend::kInProcess) {
+        twins.push_back(std::make_unique<EdgeAgent>(h, &topo, &codec, bounded));
         hub.AddLocalAgent(twins.back().get());
       } else {
+        twins.push_back(std::make_unique<EdgeAgent>(h, &topo, &codec, cfg));
         controller.RegisterAgent(twins.back().get());
         std::string name = hub.AddShmPeer(h);
         EXPECT_FALSE(name.empty());
         threads.push_back(
-            std::make_unique<ShmAgentThread>(name, h, shards, &topo, &codec, fault));
+            std::make_unique<ShmAgentThread>(name, h, bounded, &topo, &codec, fault));
       }
     }
     if (b == Backend::kSharedMemory) {
       EXPECT_TRUE(hub.WaitForHellos(10'000'000));
     }
+  }
+
+  // The agents that serve standing queries (and tick on SendEpochTick).
+  std::vector<const EdgeAgent*> StandingAgents() const {
+    std::vector<const EdgeAgent*> out;
+    if (backend == Backend::kInProcess) {
+      for (const auto& twin : twins) {
+        out.push_back(twin.get());
+      }
+    } else {
+      for (const auto& thread : threads) {
+        out.push_back(&thread->agent());
+      }
+    }
+    return out;
   }
 
   // Recovery quiesce: flush, then wait until no stream is stale and no
@@ -470,17 +498,23 @@ struct TransportTestbed {
     threads.clear();  // joins; workers exit on the Shutdown frame
   }
 
-  // One epoch's records everywhere: the twins ingest directly; shm
-  // agents get the broadcast Ingest and derive the identical stream.
-  void Ingest(uint32_t count, uint32_t seed) {
+  // Inserts `agent`'s share of one epoch's records: the same stream a
+  // shm agent derives from the broadcast Ingest frame.
+  static void InsertEpoch(EdgeAgent& agent, uint32_t count, uint32_t seed) {
     testutil::SyntheticRecordOptions opt;
     opt.ip_space = kIpSpace;
     opt.switch_space = kSwitchSpace;
+    for (const TibRecord& rec :
+         testutil::MakeSyntheticRecords(int(count), seed + uint32_t(agent.host()), opt)) {
+      agent.tib().Insert(rec);
+    }
+  }
+
+  // One epoch's records everywhere: the twins ingest directly; shm
+  // agents get the broadcast Ingest and derive the identical stream.
+  void Ingest(uint32_t count, uint32_t seed) {
     for (auto& twin : twins) {
-      for (const TibRecord& rec :
-           testutil::MakeSyntheticRecords(int(count), seed + uint32_t(twin->host()), opt)) {
-        twin->tib().Insert(rec);
-      }
+      InsertEpoch(*twin, count, seed);
     }
     if (backend == Backend::kSharedMemory) {
       hub.SendIngest(count, seed, kIpSpace, kSwitchSpace);
@@ -590,6 +624,116 @@ TEST_P(TransportBackendTest, StandingMatrixMatchesPollAcrossShardWorkerMatrix) {
       EXPECT_GE(tb.manager.stats().deltas_folded, uint64_t(kEpochs));
     }
   }
+}
+
+// Memory-ceiling axis: the standing agents of either backend run under
+// a TIB ceiling of 2.5 epochs of ingest, and SendEpochTick is their only
+// epoch boundary.  After every epoch each standing agent is under the
+// ceiling, retains exactly the newest whole epochs that fit, and keeps
+// exact accounting (retained == inserted - evicted).  Standing results
+// fold every record before its segment retires, so they must equal polls
+// over an unbounded shadow fleet fed the same records.  (On the
+// in-process backend the twins are the bounded agents themselves, so
+// polls over them are window-scoped; only the shadow has full history.)
+TEST_P(TransportBackendTest, CeilingHoldsAndStandingMatchesUnboundedShadow) {
+  const uint32_t kPerEpoch = 800;
+  const int kEpochs = 5;
+  const size_t kAgents = 3;
+  const size_t kShards = 4;
+  const std::vector<StandingQuerySpec> kSpecs = {SpecTopK(), SpecHistogram(), SpecFlowList(),
+                                                 SpecCount()};
+  // Per-record accounting is a fixed function of the build; price it on
+  // a probe.
+  size_t per_record = 0;
+  {
+    Tib probe(TibOptions{});
+    probe.Insert(TibRecord{});
+    per_record = probe.bytes_resident();
+  }
+  ASSERT_GT(per_record, 0u);
+  const size_t ceiling = per_record * kPerEpoch * 5 / 2;
+  const uint64_t kEpochsThatFit = 2;
+
+  TransportTestbed tb(GetParam(), kAgents, kShards, {}, {}, ceiling);
+  Controller shadow;
+  std::vector<std::unique_ptr<EdgeAgent>> shadow_agents;
+  for (HostId h : tb.hosts) {
+    EdgeAgentConfig cfg;
+    cfg.tib_options.num_shards = kShards;
+    shadow_agents.push_back(std::make_unique<EdgeAgent>(h, &tb.topo, &tb.codec, cfg));
+    shadow.RegisterAgent(shadow_agents.back().get());
+  }
+  std::vector<uint64_t> subs;
+  for (const StandingQuerySpec& spec : kSpecs) {
+    subs.push_back(tb.hub.Subscribe(tb.hosts, spec));
+  }
+
+  for (int epoch = 1; epoch <= kEpochs; ++epoch) {
+    const uint32_t seed = 0xCE11u * uint32_t(epoch);
+    tb.Ingest(kPerEpoch, seed);
+    for (auto& agent : shadow_agents) {
+      TransportTestbed::InsertEpoch(*agent, kPerEpoch, seed);
+    }
+    tb.Epoch();
+    if (::testing::Test::HasFatalFailure()) {
+      return;
+    }
+
+    const uint64_t retained = std::min<uint64_t>(uint64_t(epoch), kEpochsThatFit) * kPerEpoch;
+    for (const EdgeAgent* agent : tb.StandingAgents()) {
+      const TibMemoryStats ms = agent->tib().MemoryStats();
+      const std::string ctx =
+          "host " + std::to_string(agent->host()) + ", epoch " + std::to_string(epoch);
+      EXPECT_LE(ms.resident_bytes, ceiling) << ctx;
+      EXPECT_EQ(ms.retained_records, ms.inserted_records - ms.evicted_records) << ctx;
+      EXPECT_EQ(ms.epochs_sealed, uint64_t(epoch)) << ctx;
+      EXPECT_EQ(ms.retained_records, retained) << ctx;
+      if (uint64_t(epoch) > kEpochsThatFit) {
+        EXPECT_GT(ms.evicted_records, 0u) << ctx;
+      }
+    }
+    for (size_t s = 0; s < kSpecs.size(); ++s) {
+      auto [poll, stats] = shadow.Execute(tb.hosts, PollFor(kSpecs[s]));
+      EXPECT_EQ(tb.manager.Materialize(subs[s]), poll) << "kind " << s << ", epoch " << epoch;
+    }
+  }
+}
+
+// Teardown in either order: destroying the agents before the manager
+// and the hub must be clean — each agent takes its registrations (and
+// their TIB hooks) with it, and the manager's attachments notice the
+// agent is gone instead of calling into freed memory (ASan job).
+TEST(TransportTeardown, AgentsMayDieBeforeManagerAndHub) {
+  Topology topo = BuildFatTree(4);
+  LinkLabelMap labels(&topo);
+  CherryPickCodec codec(&topo, &labels);
+  Controller controller;
+  auto manager = std::make_unique<SubscriptionManager>(&controller);
+  auto hub = std::make_unique<TransportHub>(&controller, manager.get(),
+                                            TransportTestbed::MakeOptions(Backend::kInProcess));
+  std::vector<std::unique_ptr<EdgeAgent>> agents;
+  for (size_t a = 0; a < 2; ++a) {
+    agents.push_back(std::make_unique<EdgeAgent>(topo.hosts()[a], &topo, &codec));
+    hub->AddLocalAgent(agents.back().get());
+  }
+  const std::vector<HostId> hosts = hub->hosts();
+  const uint64_t doomed = hub->Subscribe(hosts, SpecTopK());
+  const uint64_t kept = hub->Subscribe(hosts, SpecCount());
+  for (auto& agent : agents) {
+    TransportTestbed::InsertEpoch(*agent, 500, 0x7EA2u);
+  }
+  hub->SendEpochTick();
+  hub->Flush();
+  const QueryResult before = manager->Materialize(kept);
+  ASSERT_FALSE(std::holds_alternative<std::monostate>(before));
+
+  agents.clear();
+  // The folded state outlives the agents; detaching from them is a no-op.
+  manager->Unsubscribe(doomed);
+  EXPECT_EQ(manager->Materialize(kept), before);
+  EXPECT_FALSE(manager->Resync(kept, hosts[0]));  // no live agent to snapshot
+  hub.reset();
+  manager.reset();  // detaches `kept` from agents that are already gone
 }
 
 // --- 5. Reactor resilience ---
