@@ -26,9 +26,9 @@
 
 namespace pathdump {
 
-// Per-flow byte totals — the shared aggregation behind TopK and
-// FlowSizeDistribution (see Tib::AggregateFlowBytes), and the state a
-// standing subscription materializes per host.
+// Per-flow byte totals — the kernel state of TopK and
+// FlowSizeDistribution (KernelState, src/edge/standing_query.h), in a
+// poll and in a standing subscription alike.
 using FlowBytesMap = std::unordered_map<FiveTuple, uint64_t, FiveTupleHash>;
 
 struct FlowBytesDelta {
@@ -47,7 +47,7 @@ struct FlowBytesDelta {
   static FlowBytesDelta FromShardMaps(std::vector<FlowBytesMap>& shard_maps);
 
   // Folds this delta into an accumulated per-flow map (integer sums; a
-  // zero-byte item still creates its key, matching AggregateFlowBytes).
+  // zero-byte item still creates its key, as KernelAdd does).
   void ApplyTo(FlowBytesMap& acc) const;
 
   friend bool operator==(const FlowBytesDelta&, const FlowBytesDelta&) = default;

@@ -10,11 +10,10 @@
 // subscription's filter since the previous boundary, tagged with its
 // global insertion id.
 //
-// The id is the determinism anchor.  The poll path (Tib::FlowsOnLink)
-// dedups (flow, path) pairs and orders them by ascending first insertion
-// id; a controller folding record deltas reproduces that exactly by
-// keeping the minimum id per distinct pair and sorting at
-// materialization.  Items within a delta are kept sorted ascending by id
+// The id is the determinism anchor.  The FlowList kernel
+// (src/edge/standing_query.h) dedups (flow, path) pairs keeping the
+// minimum id and orders them by ascending first insertion id — over a
+// TIB scan in a poll, over folded record deltas at the controller.  Items within a delta are kept sorted ascending by id
 // so a delta's wire bytes are a pure function of its contents.
 //
 // Wire framing follows src/edge/query.cc: a 16-byte message header plus,

@@ -161,10 +161,10 @@ void SubscriptionManager::FoldReady(Subscription& sub, HostState& hs,
   TraceScope span("fold", keys);
   uint64_t updates;
   if (sub.spec.IsRecordKind()) {
-    hs.records.Fold(sub.spec, delta.records);
+    KernelFold(sub.spec, hs.state, delta.records);
     updates = delta.records.items.size();
   } else {
-    delta.payload.ApplyTo(hs.folded);
+    KernelFold(hs.state, delta.payload);
     updates = delta.payload.items.size();
   }
   ++hs.next_epoch;
@@ -214,8 +214,7 @@ void SubscriptionManager::FoldBatch(std::vector<QueryDelta>& batch) {
         // (the snapshot already contains everything they carried), and
         // clear the stale mark.  Strict-epoch folding resumes from here.
         const TraceKeys keys{d.subscription_id, d.host, d.epoch};
-        hs.folded.clear();
-        hs.records = RecordFoldState{};
+        hs.state = KernelState{};
         // Buffered stragglers end in the stale_discarded bucket — every
         // submitted delta lands in exactly one terminal bucket.
         stale_discarded_.fetch_add(hs.pending.size(), std::memory_order_acq_rel);
@@ -375,14 +374,13 @@ QueryResult SubscriptionManager::Materialize(uint64_t id) {
   TraceScope span("materialize", TraceKeys{id, 0, 0});
   const uint64_t t0 = Tracer::Global().NowUs();
   Flush();
-  // Snapshot the folded state under state_mu_, but materialize and merge
-  // outside it: the per-host sort/merge can take hundreds of ms at
-  // large flow populations, and the drain worker needs state_mu_ to
-  // keep folding (a stalled fold backs the bounded queue up into the
-  // epoch tickers).
+  // Copy the folded states under state_mu_, but finalize and merge
+  // outside it: the per-host sort/merge can take hundreds of ms at large
+  // flow populations, and the drain worker needs state_mu_ to keep
+  // folding (a stalled fold backs the bounded queue up into the epoch
+  // tickers).
   StandingQuerySpec spec;
-  std::vector<FlowBytesMap> folded;          // per-flow kinds, in host order
-  std::vector<RecordFoldState> rec_folded;   // record kinds, in host order
+  std::vector<KernelState> folded;  // in host order
   {
     std::lock_guard<std::mutex> state(state_mu_);
     auto it = subscriptions_.find(id);
@@ -393,35 +391,16 @@ QueryResult SubscriptionManager::Materialize(uint64_t id) {
     spec = sub.spec;
     for (HostId h : sub.hosts) {
       auto hit = sub.host_state.find(h);
-      if (hit == sub.host_state.end()) {
-        continue;
-      }
-      if (spec.IsRecordKind()) {
-        // Copy only what materialization reads (items + count) — not
-        // the `seen` dedup index, which would roughly double the copy
-        // held under state_mu_.
-        RecordFoldState snap;
-        snap.flow_items = hit->second.records.flow_items;
-        snap.count = hit->second.records.count;
-        rec_folded.push_back(std::move(snap));
-      } else {
-        folded.push_back(hit->second.folded);
+      if (hit != sub.host_state.end()) {
+        folded.push_back(hit->second.state.FinalizeInputs());
       }
     }
   }
-  // The poll path's reduce, reproduced: per-host results merged
-  // sequentially in host order (Controller::Execute phase 2).
+  // The poll path's reduce: per-host results merged sequentially in host
+  // order (Controller::Execute phase 2).
   QueryResult merged;
-  if (spec.IsRecordKind()) {
-    for (const RecordFoldState& state : rec_folded) {
-      QueryResult host_result = MaterializeStandingRecords(spec, state);
-      MergeQueryResult(merged, host_result);
-    }
-  } else {
-    for (const FlowBytesMap& per_flow : folded) {
-      QueryResult host_result = MaterializeStandingResult(spec, per_flow);
-      MergeQueryResult(merged, host_result);
-    }
+  for (const KernelState& host_state : folded) {
+    MergeQueryResult(merged, KernelFinalize(spec, std::span(&host_state, 1)));
   }
   mat_us->Record(Tracer::Global().NowUs() - t0);
   return merged;

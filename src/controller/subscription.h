@@ -154,9 +154,9 @@ class SubscriptionManager {
   void Flush();
 
   // Flushes, then materializes the standing result: per-host results
-  // (MaterializeStandingResult over the folded per-flow state) merged
-  // in host order — the poll Execute merge, byte for byte.  Unknown
-  // subscription ids yield monostate.
+  // (KernelFinalize over the host's folded kernel state, as a poll
+  // finalizes its per-shard states) merged in host order — the poll
+  // Execute merge.  Unknown subscription ids yield monostate.
   QueryResult Materialize(uint64_t id);
 
   // --- Crash recovery (snapshot resync) ---
@@ -204,8 +204,7 @@ class SubscriptionManager {
   };
   struct HostState {
     uint64_t next_epoch = 1;  // next epoch to fold
-    FlowBytesMap folded;      // materialized per-flow state (per-flow kinds)
-    RecordFoldState records;  // materialized record state (record kinds)
+    KernelState state;        // every delta folded so far (KernelFold)
     std::map<uint64_t, PendingDelta> pending;  // gapped arrivals by epoch
     // Deltas were lost; ordinary deltas are discarded until a snapshot
     // re-baselines the stream (see the crash-recovery section above).

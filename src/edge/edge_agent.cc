@@ -12,6 +12,12 @@
 
 namespace pathdump {
 
+namespace {
+
+using Kind = StandingQuerySpec::Kind;
+
+}  // namespace
+
 const char* AlarmReasonName(AlarmReason reason) {
   switch (reason) {
     case AlarmReason::kPoorPerf:
@@ -180,7 +186,9 @@ void EdgeAgent::IngestRecord(const TibRecord& rec, SimTime now) {
 }
 
 std::vector<Flow> EdgeAgent::GetFlows(const LinkId& link, const TimeRange& range) const {
-  return tib_.FlowsOnLink(link, range);
+  return std::get<FlowList>(KernelPoll({.kind = Kind::kFlowList, .link = link, .range = range},
+                                       tib_))
+      .flows;
 }
 
 std::vector<Path> EdgeAgent::GetPaths(const FiveTuple& flow, const LinkId& link,
@@ -297,31 +305,18 @@ void EdgeAgent::RaiseAlarm(const FiveTuple& flow, AlarmReason reason, std::vecto
 
 FlowSizeHistogram EdgeAgent::FlowSizeDistribution(const LinkId& link, const TimeRange& range,
                                                   int64_t bin_width) const {
-  // Shard-parallel per-flow byte totals over matching records, then
-  // histogram (bin counts are order-independent integer sums).
-  FlowBytesMap per_flow = tib_.AggregateFlowBytes(link, range);
-  FlowSizeHistogram h;
-  h.bin_width = bin_width;
-  for (const auto& [flow, bytes] : per_flow) {
-    h.bins[int64_t(bytes) / bin_width] += 1;
-  }
-  return h;
+  return std::get<FlowSizeHistogram>(KernelPoll(
+      {.kind = Kind::kFlowSizeHistogram, .bin_width = bin_width, .link = link, .range = range},
+      tib_));
 }
 
 TopKFlows EdgeAgent::TopK(size_t k, const TimeRange& range) const {
-  // Same shared aggregation as FlowSizeDistribution, over every record
-  // ((<*, *>) matches all paths).  Finalize() imposes a total order, so
-  // the result is byte-identical at any shard/worker count.
-  FlowBytesMap per_flow =
-      tib_.AggregateFlowBytes(LinkId{kInvalidNode, kInvalidNode}, range);
-  TopKFlows out;
-  out.k = k;
-  out.items.reserve(per_flow.size());
-  for (const auto& [flow, bytes] : per_flow) {
-    out.items.emplace_back(bytes, flow);
-  }
-  out.Finalize();
-  return out;
+  return std::get<TopKFlows>(KernelPoll({.kind = Kind::kTopK, .k = k, .range = range}, tib_));
+}
+
+CountSummary EdgeAgent::CountOnLink(const LinkId& link, const TimeRange& range) const {
+  return std::get<CountSummary>(
+      KernelPoll({.kind = Kind::kCountSummary, .link = link, .range = range}, tib_));
 }
 
 std::vector<TrajectoryMemory::Record> EdgeAgent::MemorySnapshot() const {

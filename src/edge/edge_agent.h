@@ -157,26 +157,25 @@ class EdgeAgent {
 
   // --- Canned queries used by applications and benches ---
 
-  // Histogram of per-flow byte counts over flows traversing `link`.  Both
-  // canned queries share Tib::AggregateFlowBytes, the shard-parallel
-  // per-flow byte aggregation.
+  // These, and GetFlows, are polls of the one query kernel per kind
+  // (KernelPoll, src/edge/standing_query.h) — the same kernel a standing
+  // subscription of that kind runs.  Shard-parallel and deterministic.
+  //
+  // Histogram of per-flow byte counts over flows traversing `link`.
   FlowSizeHistogram FlowSizeDistribution(const LinkId& link, const TimeRange& range,
                                          int64_t bin_width = 10000) const;
   // Top-k flows by bytes within `range`.
   TopKFlows TopK(size_t k, const TimeRange& range) const;
   // Byte/packet totals over records whose path matches `link` within
-  // `range` — the per-host poll twin of a standing CountSummary
-  // subscription (Tib::CountOnLink; shard-parallel, deterministic).
-  CountSummary CountOnLink(const LinkId& link, const TimeRange& range) const {
-    return tib_.CountOnLink(link, range);
-  }
+  // `range` (getCount over a link).
+  CountSummary CountOnLink(const LinkId& link, const TimeRange& range) const;
 
   // --- Wiring ---
 
   void SetAlarmHandler(AlarmHandler handler) { alarm_handler_ = std::move(handler); }
 
-  // Non-owning pool for shard-parallel TIB scans (TopK,
-  // FlowSizeDistribution, getFlows, RecordsOnLink); nullptr reverts to
+  // Non-owning pool for the shard-parallel TIB scans of the polls (TopK,
+  // FlowSizeDistribution, CountOnLink, GetFlows); nullptr reverts to
   // sequential scans.  Results are byte-identical either way.
   void SetQueryThreadPool(ThreadPool* pool) { tib_.SetScanPool(pool); }
 
@@ -197,9 +196,9 @@ class EdgeAgent {
 
   // --- Standing queries (src/edge/standing_query.h) ---
   //
-  // A registered standing query accumulates per-flow byte increments
-  // inside Tib::Insert (under the owning shard's lock) and, on an epoch
-  // tick, ships only the increment: the delta is merged with the
+  // A registered standing query runs its kind's kernel inside
+  // Tib::Insert (under the owning shard's lock) and, on an epoch tick,
+  // ships only the increment: the delta is merged with the
   // deterministic ordered reduce, epoch-stamped, and handed to `sink`
   // (normally the controller's SubscriptionManager intake).  The sink
   // runs on the ticking thread with no agent lock held; it may be
@@ -209,7 +208,7 @@ class EdgeAgent {
 
   // Registers the accumulator; returns a handle for
   // UnregisterStandingQuery.  Cost per subsequent insert: one filter
-  // check + one hash-map bump on matching records.
+  // check + one hash-map bump or append on matching records.
   int RegisterStandingQuery(uint64_t subscription_id, const StandingQuerySpec& spec,
                             DeltaSink sink);
   // Removes the accumulator and its TIB hook.  On return no further

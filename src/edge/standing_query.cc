@@ -8,90 +8,147 @@
 
 namespace pathdump {
 
+KernelState KernelState::FinalizeInputs() const {
+  KernelState out;
+  out.flow_bytes = flow_bytes;
+  out.flows = flows;
+  out.count = count;
+  return out;
+}
+
+bool KernelAdmits(const StandingQuerySpec& spec, const TibRecord& rec) {
+  return rec.Overlaps(spec.range) && rec.path.MatchesLinkQuery(spec.link);
+}
+
 namespace {
 
-// The shared dedup key of Tib::FlowsOnLink — the one CompactPath::HashKey
-// definition, applied to the decoded path (lossless: delta paths come
-// from CompactPath::ToPath, so they round-trip within kMaxSwitches).
-uint64_t FlowPathHashKey(const FiveTuple& flow, const Path& path) {
-  return CompactPath::FromPath(path).HashKey(FiveTupleHash{}(flow));
+// The per-kind bodies of KernelAdd.  KernelFold calls them once per
+// shipped item, so a folded delta and an admitted record add the same way.
+void AddFlowBytes(KernelState& state, const FiveTuple& flow, uint64_t bytes) {
+  state.flow_bytes[flow] += bytes;
+}
+
+void AddCount(KernelState& state, uint64_t bytes, uint64_t pkts) {
+  state.count.bytes += bytes;
+  state.count.pkts += pkts;
+}
+
+// Dedup on the stored CompactPath: no path is decoded until finalize,
+// and then only once per distinct pair.
+void AddFlow(KernelState& state, uint64_t id, const FiveTuple& flow, const CompactPath& path) {
+  const uint64_t key = path.HashKey(FiveTupleHash{}(flow));
+  auto [first, last] = state.flow_index.equal_range(key);
+  for (auto it = first; it != last; ++it) {
+    KernelFlow& existing = state.flows[it->second];
+    if (existing.flow == flow && existing.path == path) {
+      // Ids ascend within a shard and deltas fold in epoch order, so the
+      // first occurrence already holds the minimum; kept defensively.
+      existing.id = std::min(existing.id, id);
+      return;
+    }
+  }
+  state.flow_index.emplace(key, state.flows.size());
+  state.flows.push_back(KernelFlow{id, flow, path});
 }
 
 }  // namespace
 
-QueryResult MaterializeStandingResult(const StandingQuerySpec& spec,
-                                      const FlowBytesMap& per_flow) {
-  // These two bodies mirror EdgeAgent::TopK and FlowSizeDistribution
-  // exactly — the byte-identity contract depends on it.
-  if (spec.kind == StandingQuerySpec::Kind::kTopK) {
-    TopKFlows out;
-    out.k = spec.k;
-    out.items.reserve(per_flow.size());
-    for (const auto& [flow, bytes] : per_flow) {
-      out.items.emplace_back(bytes, flow);
-    }
-    out.Finalize();
-    return out;
+void KernelAdd(const StandingQuerySpec& spec, KernelState& state, uint64_t id,
+               const TibRecord& rec) {
+  switch (spec.kind) {
+    case StandingQuerySpec::Kind::kTopK:
+    case StandingQuerySpec::Kind::kFlowSizeHistogram:
+      AddFlowBytes(state, rec.flow, rec.bytes);
+      return;
+    case StandingQuerySpec::Kind::kCountSummary:
+      AddCount(state, rec.bytes, rec.pkts);
+      return;
+    case StandingQuerySpec::Kind::kFlowList:
+      AddFlow(state, id, rec.flow, rec.path);
+      return;
   }
-  FlowSizeHistogram h;
-  h.bin_width = spec.bin_width;
-  for (const auto& [flow, bytes] : per_flow) {
-    h.bins[int64_t(bytes) / spec.bin_width] += 1;
-  }
-  return h;
 }
 
-void RecordFoldState::Fold(const StandingQuerySpec& spec, const RecordDelta& delta) {
-  if (spec.kind == StandingQuerySpec::Kind::kCountSummary) {
-    // Every record is shipped exactly once (it lands in exactly one
-    // epoch snapshot), so folding is a plain commutative sum.
-    for (const RecordDeltaItem& item : delta.items) {
-      count.bytes += item.bytes;
-      count.pkts += item.pkts;
-    }
-    return;
+void KernelFold(KernelState& state, const FlowBytesDelta& delta) {
+  for (const auto& [flow, bytes] : delta.items) {
+    AddFlowBytes(state, flow, bytes);
   }
-  // kFlowList: first-occurrence dedup of (flow, path), keeping the
-  // smallest insertion id — Tib::FlowsOnLink replayed incrementally.
+}
+
+void KernelFold(const StandingQuerySpec& spec, KernelState& state, const RecordDelta& delta) {
   for (const RecordDeltaItem& item : delta.items) {
-    uint64_t key = FlowPathHashKey(item.flow, item.path);
-    std::vector<size_t>& bucket = seen[key];
-    bool dup = false;
-    for (size_t idx : bucket) {
-      RecordDeltaItem& existing = flow_items[idx];
-      if (existing.flow == item.flow && existing.path == item.path) {
-        existing.id = std::min(existing.id, item.id);
-        dup = true;
-        break;
-      }
-    }
-    if (!dup) {
-      bucket.push_back(flow_items.size());
-      flow_items.push_back(item);
+    if (spec.kind == StandingQuerySpec::Kind::kCountSummary) {
+      AddCount(state, item.bytes, item.pkts);
+    } else {
+      AddFlow(state, item.id, item.flow, CompactPath::FromPath(item.path));
     }
   }
 }
 
-QueryResult MaterializeStandingRecords(const StandingQuerySpec& spec,
-                                       const RecordFoldState& state) {
-  if (spec.kind == StandingQuerySpec::Kind::kCountSummary) {
-    return state.count;
+QueryResult KernelFinalize(const StandingQuerySpec& spec, std::span<const KernelState> states) {
+  switch (spec.kind) {
+    case StandingQuerySpec::Kind::kTopK: {
+      TopKFlows out;
+      out.k = spec.k;
+      size_t total = 0;
+      for (const KernelState& s : states) {
+        total += s.flow_bytes.size();
+      }
+      out.items.reserve(total);
+      for (const KernelState& s : states) {
+        for (const auto& [flow, bytes] : s.flow_bytes) {
+          out.items.emplace_back(bytes, flow);
+        }
+      }
+      out.Finalize();
+      return out;
+    }
+    case StandingQuerySpec::Kind::kFlowSizeHistogram: {
+      FlowSizeHistogram h;
+      h.bin_width = spec.bin_width;
+      for (const KernelState& s : states) {
+        for (const auto& [flow, bytes] : s.flow_bytes) {
+          h.bins[int64_t(bytes) / spec.bin_width] += 1;
+        }
+      }
+      return h;
+    }
+    case StandingQuerySpec::Kind::kCountSummary: {
+      CountSummary c;
+      for (const KernelState& s : states) {
+        c.bytes += s.count.bytes;
+        c.pkts += s.count.pkts;
+      }
+      return c;
+    }
+    case StandingQuerySpec::Kind::kFlowList:
+      break;
   }
-  // First-appearance order across the whole TIB = ascending first id —
-  // the exact ordering Tib::FlowsOnLink produces.
-  std::vector<const RecordDeltaItem*> ordered;
-  ordered.reserve(state.flow_items.size());
-  for (const RecordDeltaItem& item : state.flow_items) {
-    ordered.push_back(&item);
+  // First-appearance order across the whole TIB = ascending first id.
+  std::vector<const KernelFlow*> ordered;
+  for (const KernelState& s : states) {
+    for (const KernelFlow& f : s.flows) {
+      ordered.push_back(&f);
+    }
   }
   std::sort(ordered.begin(), ordered.end(),
-            [](const RecordDeltaItem* a, const RecordDeltaItem* b) { return a->id < b->id; });
+            [](const KernelFlow* a, const KernelFlow* b) { return a->id < b->id; });
   FlowList out;
   out.flows.reserve(ordered.size());
-  for (const RecordDeltaItem* item : ordered) {
-    out.flows.push_back(Flow{item->flow, item->path});
+  for (const KernelFlow* f : ordered) {
+    out.flows.push_back(Flow{f->flow, f->path.ToPath()});
   }
   return out;
+}
+
+QueryResult KernelPoll(const StandingQuerySpec& spec, const Tib& tib) {
+  std::vector<KernelState> shards(tib.shard_count());
+  tib.ScanShards([&](size_t si, uint64_t id, const TibRecord& rec) {
+    if (KernelAdmits(spec, rec)) {
+      KernelAdd(spec, shards[si], id, rec);
+    }
+  });
+  return KernelFinalize(spec, shards);
 }
 
 StandingQueryAccumulator::StandingQueryAccumulator(uint64_t subscription_id, HostId host,
@@ -99,51 +156,53 @@ StandingQueryAccumulator::StandingQueryAccumulator(uint64_t subscription_id, Hos
     : subscription_id_(subscription_id),
       host_(host),
       spec_(spec),
-      match_all_links_(spec.link.src == kInvalidNode && spec.link.dst == kInvalidNode),
-      tib_(tib) {
-  if (spec_.IsRecordKind()) {
-    record_partial_.resize(tib->shard_count());
-  } else {
-    partial_.resize(tib->shard_count());
-  }
+      tib_(tib),
+      partial_(tib->shard_count()) {
   hook_id_ = tib_->AddInsertHook([this](size_t shard_index, uint64_t record_id,
                                         const TibRecord& rec) {
-    OnInsert(shard_index, record_id, rec);
+    Collect(partial_[shard_index], record_id, rec);
   });
 }
 
 StandingQueryAccumulator::~StandingQueryAccumulator() {
   // Synchronizes with every in-flight Insert (removal takes all shard
-  // locks), so after this no OnInsert call can touch the partials.
+  // locks), so after this no insert hook can touch the partials.
   tib_->RemoveInsertHook(hook_id_);
 }
 
-bool StandingQueryAccumulator::Matches(const TibRecord& rec) const {
-  // Same record filter as the poll twins (Tib::AggregateFlowBytes /
-  // FlowsOnLink / CountOnLink) — including creating the key for a
-  // zero-byte record (the poll path does too).
-  if (!rec.Overlaps(spec_.range)) {
-    return false;
-  }
-  if (!match_all_links_ && !rec.path.MatchesLinkQuery(spec_.link)) {
-    return false;
-  }
-  return true;
-}
-
-void StandingQueryAccumulator::OnInsert(size_t shard_index, uint64_t record_id,
-                                        const TibRecord& rec) {
-  if (!Matches(rec)) {
+void StandingQueryAccumulator::Collect(ShardPartial& partial, uint64_t record_id,
+                                       const TibRecord& rec) const {
+  if (!KernelAdmits(spec_, rec)) {
     return;
   }
   if (spec_.IsRecordKind()) {
-    // The path is buffered in its stored compact form — no decode and no
-    // per-path allocation while the exclusive shard lock is held.
-    record_partial_[shard_index].push_back(
+    partial.records.push_back(
         CompactRecordEntry{record_id, rec.flow, rec.path, rec.bytes, rec.pkts});
     return;
   }
-  partial_[shard_index][rec.flow] += rec.bytes;
+  KernelAdd(spec_, partial.state, record_id, rec);
+}
+
+void StandingQueryAccumulator::FillPayload(std::vector<ShardPartial>& drained,
+                                           QueryDelta& delta) const {
+  if (spec_.IsRecordKind()) {
+    // Decode paths here, on the ticking thread with no lock held — once
+    // per shipped record, never inside Insert.
+    std::vector<std::vector<RecordDeltaItem>> decoded(drained.size());
+    for (size_t si = 0; si < drained.size(); ++si) {
+      decoded[si].reserve(drained[si].records.size());
+      for (const CompactRecordEntry& e : drained[si].records) {
+        decoded[si].push_back(RecordDeltaItem{e.id, e.flow, e.path.ToPath(), e.bytes, e.pkts});
+      }
+    }
+    delta.records = RecordDelta::FromShardBuffers(decoded);
+    return;
+  }
+  std::vector<FlowBytesMap> maps(drained.size());
+  for (size_t si = 0; si < drained.size(); ++si) {
+    maps[si].swap(drained[si].state.flow_bytes);
+  }
+  delta.payload = FlowBytesDelta::FromShardMaps(maps);
 }
 
 std::optional<QueryDelta> StandingQueryAccumulator::TakeDelta() {
@@ -161,25 +220,10 @@ std::optional<QueryDelta> StandingQueryAccumulator::TakeDelta() {
   const uint64_t t0 = Tracer::Global().NowUs();
 
   std::lock_guard<std::mutex> tick(tick_mu_);
+  std::vector<ShardPartial> drained(partial_.size());
+  tib_->ForEachShardExclusive([&](size_t si) { std::swap(drained[si], partial_[si]); });
   QueryDelta delta;
-  if (spec_.IsRecordKind()) {
-    std::vector<std::vector<CompactRecordEntry>> snapshot(record_partial_.size());
-    tib_->ForEachShardExclusive([&](size_t si) { snapshot[si].swap(record_partial_[si]); });
-    // Decode paths here, on the ticking thread with no lock held —
-    // once per shipped record, never inside Insert.
-    std::vector<std::vector<RecordDeltaItem>> decoded(snapshot.size());
-    for (size_t si = 0; si < snapshot.size(); ++si) {
-      decoded[si].reserve(snapshot[si].size());
-      for (const CompactRecordEntry& e : snapshot[si]) {
-        decoded[si].push_back(RecordDeltaItem{e.id, e.flow, e.path.ToPath(), e.bytes, e.pkts});
-      }
-    }
-    delta.records = RecordDelta::FromShardBuffers(decoded);
-  } else {
-    std::vector<FlowBytesMap> snapshot(partial_.size());
-    tib_->ForEachShardExclusive([&](size_t si) { snapshot[si].swap(partial_[si]); });
-    delta.payload = FlowBytesDelta::FromShardMaps(snapshot);
-  }
+  FillPayload(drained, delta);
   const bool empty = spec_.IsRecordKind() ? delta.records.empty() : delta.payload.empty();
   if (empty) {
     empty_ticks->Add();
@@ -208,40 +252,15 @@ QueryDelta StandingQueryAccumulator::TakeSnapshot() {
   const uint64_t t0 = Tracer::Global().NowUs();
 
   std::lock_guard<std::mutex> tick(tick_mu_);
+  std::vector<ShardPartial> scanned(partial_.size());
+  tib_->ForEachShardRecordExclusive(
+      [&](size_t si) { partial_[si] = ShardPartial{}; },
+      [&](size_t si, uint64_t record_id, const TibRecord& rec) {
+        Collect(scanned[si], record_id, rec);
+      });
   QueryDelta delta;
   delta.snapshot = true;
-  if (spec_.IsRecordKind()) {
-    std::vector<std::vector<CompactRecordEntry>> snapshot(record_partial_.size());
-    tib_->ForEachShardRecordExclusive(
-        [&](size_t si) { record_partial_[si].clear(); },
-        [&](size_t si, uint64_t record_id, const TibRecord& rec) {
-          if (!Matches(rec)) {
-            return;
-          }
-          snapshot[si].push_back(
-              CompactRecordEntry{record_id, rec.flow, rec.path, rec.bytes, rec.pkts});
-        });
-    // Decode outside the shard locks, exactly like TakeDelta.
-    std::vector<std::vector<RecordDeltaItem>> decoded(snapshot.size());
-    for (size_t si = 0; si < snapshot.size(); ++si) {
-      decoded[si].reserve(snapshot[si].size());
-      for (const CompactRecordEntry& e : snapshot[si]) {
-        decoded[si].push_back(RecordDeltaItem{e.id, e.flow, e.path.ToPath(), e.bytes, e.pkts});
-      }
-    }
-    delta.records = RecordDelta::FromShardBuffers(decoded);
-  } else {
-    std::vector<FlowBytesMap> snapshot(partial_.size());
-    tib_->ForEachShardRecordExclusive(
-        [&](size_t si) { partial_[si].clear(); },
-        [&](size_t si, uint64_t, const TibRecord& rec) {
-          if (!Matches(rec)) {
-            return;
-          }
-          snapshot[si][rec.flow] += rec.bytes;
-        });
-    delta.payload = FlowBytesDelta::FromShardMaps(snapshot);
-  }
+  FillPayload(scanned, delta);
   delta.subscription_id = subscription_id_;
   delta.host = host_;
   delta.kind = spec_.kind;

@@ -1,30 +1,39 @@
-// Standing queries: incremental edge-side evaluation with epoch deltas.
+// Debugging queries, one-shot or standing, and the one aggregation
+// kernel both run.
 //
-// The paper's recurring debugging applications (traffic measurement,
-// load imbalance) re-poll the fleet, and every poll re-scans the full
-// TIB — O(records) per poll even when almost nothing changed.  A
-// standing query inverts that: the agent evaluates incrementally at
-// insert time and, on an epoch tick, ships only what changed.
+// PathDump's controller either runs a debugging query once or install()s
+// it to run again and again at the edge (§3, Table 1).  Here a query of
+// one of four kinds (top-k, flow-size distribution, getFlows, getCount)
+// is described by a StandingQuerySpec, and each kind has ONE kernel:
+//
+//   filter      KernelAdmits — range overlap plus the link match;
+//   state       KernelState — per-flow byte totals (TopK, histogram), or
+//               a (flow, CompactPath) first-id dedup and a CountSummary
+//               (FlowList, CountSummary);
+//   add         KernelAdd(state, id, record);
+//   finalize    KernelFinalize(states...) -> the host's QueryResult;
+//   reduce      the controller's ordered MergeQueryResult over hosts.
+//
+// Every path runs it.  A poll (KernelPoll, behind EdgeAgent::TopK /
+// FlowSizeDistribution / CountOnLink / GetFlows) fills one state per TIB
+// shard in a shard-parallel scan and finalizes those states directly.  A
+// standing query filters at insert time instead: the agent's
+// accumulator admits each record with the same filter and, on an epoch
+// tick, ships only the increment,
 //
 //   Tib::Insert ──(insert hook, under the shard lock)──▶ per-shard
 //   partial ──(epoch tick: swap + reset, one shard lock at a time)──▶
 //   deterministic ordered reduce ──▶ epoch-stamped QueryDelta ──▶
-//   controller subscription channel (src/controller/subscription.h).
+//   controller subscription channel (src/controller/subscription.h),
 //
-// Two delta shapes serve the four standing kinds:
-//  * Per-flow sums (FlowBytesDelta, src/common/flow_delta.h): TopK and
-//    FlowSizeHistogram both reduce to per-flow byte totals, so their
-//    per-shard partial is a FlowBytesMap and materialization is a pure
-//    function of the accumulated map — MaterializeStandingResult
-//    reproduces EdgeAgent::TopK / FlowSizeDistribution byte for byte.
-//  * Per-record lists (RecordDelta, src/common/record_delta.h): FlowList
-//    and CountSummary need the records themselves, so their per-shard
-//    partial is an append buffer of (id, flow, path, bytes, pkts) items;
-//    the epoch tick swaps the buffers and canonicalizes by ascending
-//    insertion id.  The controller folds them through RecordFoldState
-//    and MaterializeStandingRecords reproduces FlowList{GetFlows} /
-//    Tib::CountOnLink byte for byte — the id-ordered first-appearance
-//    dedup of Tib::FlowsOnLink, replayed incrementally.
+// and the controller folds every delta into one KernelState per host
+// (KernelFold: KernelAdd's per-kind body per shipped item) and materializes
+// with the same KernelFinalize.  The per-flow kinds' partial is a
+// KernelState filled by KernelAdd and ships as per-flow sums
+// (FlowBytesDelta, src/common/flow_delta.h); the record kinds' partial
+// buffers the admitted records, which ship as such (RecordDelta,
+// src/common/record_delta.h).  A resync snapshot re-scans the shard
+// through the same per-record step as the insert hook.
 //
 // Determinism contract: at any epoch boundary, folding every delta
 // shipped so far equals a fresh poll over the same records — at any
@@ -42,6 +51,7 @@
 #include <cstdint>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -53,9 +63,9 @@
 
 namespace pathdump {
 
-// What a subscription computes.  The same spec installs on every agent
-// of the subscription; the controller materializes per host and merges
-// in host order — exactly the poll path's shape.
+// What a query computes, polled once or installed as a subscription.  A
+// subscription's spec installs on every agent; the controller
+// materializes per host and merges in host order — the poll's shape.
 struct StandingQuerySpec {
   enum class Kind : uint8_t {
     kTopK = 0,               // per-flow sums -> TopKFlows
@@ -69,11 +79,12 @@ struct StandingQuerySpec {
   size_t k = 0;
   // kFlowSizeHistogram: histogram bin width.
   int64_t bin_width = 10000;
-  // Record filter, identical to Tib::AggregateFlowBytes: a wildcardable
-  // link the record's path must match (TopK uses (<*, *>)) ...
+  // Record filter (KernelAdmits): a wildcardable link the record's path
+  // must match (TopK uses (<*, *>)) ...
   LinkId link{kInvalidNode, kInvalidNode};
-  // ... and a time range the record must overlap.  Records are filtered
-  // once, at insert; a standing range is normally open-ended.
+  // ... and a time range the record must overlap.  A standing query
+  // filters each record once, at insert; its range is normally
+  // open-ended.
   TimeRange range = TimeRange::All();
 
   // True for the kinds whose deltas carry records, not per-flow sums.
@@ -123,40 +134,66 @@ struct QueryDelta {
   friend bool operator==(const QueryDelta&, const QueryDelta&) = default;
 };
 
-// Materializes the standing result for one host from its accumulated
-// per-flow byte totals (kTopK / kFlowSizeHistogram) — byte-identical to
-// what the poll path computes from Tib::AggregateFlowBytes
-// (EdgeAgent::TopK / FlowSizeDistribution).
-QueryResult MaterializeStandingResult(const StandingQuerySpec& spec, const FlowBytesMap& per_flow);
+// --- The aggregation kernel ---
 
-// Controller-side fold state for the per-record kinds: the incremental
-// twin of Tib::FlowsOnLink's dedup (kFlowList) and Tib::CountOnLink's
-// sums (kCountSummary).  Fold() applies one epoch's RecordDelta; items
-// arrive id-sorted within a delta and deltas fold in epoch order, so the
-// first occurrence of a (flow, path) pair carries its minimum id (a
-// pair's duplicates always share a TIB shard, and per-shard ids ascend
-// across epochs) — Fold still keeps the minimum defensively.
-struct RecordFoldState {
-  // Distinct (flow, path) items, each holding the smallest id seen.
-  // Append-ordered; materialization sorts by id.
-  std::vector<RecordDeltaItem> flow_items;
-  // Dedup index: path-hash-seeded-by-flow -> indices into flow_items.
-  // The hash only buckets; equality is exact, so a 64-bit collision
-  // cannot change the answer (mirrors Tib::FlowsOnLink).
-  std::unordered_map<uint64_t, std::vector<size_t>> seen;
-  CountSummary count;
-
-  void Fold(const StandingQuerySpec& spec, const RecordDelta& delta);
+// One distinct (flow, path) pair of a FlowList state and the smallest
+// insertion id it was seen with (first appearance).
+struct KernelFlow {
+  uint64_t id = 0;
+  FiveTuple flow;
+  CompactPath path;
 };
 
-// Materializes the standing result for one host from folded records
-// (kFlowList / kCountSummary) — byte-identical to what the poll path
-// computes (FlowList{EdgeAgent::GetFlows} / EdgeAgent::CountOnLink).
-QueryResult MaterializeStandingRecords(const StandingQuerySpec& spec,
-                                       const RecordFoldState& state);
+// One host's (or, in a poll, one TIB shard's) aggregation state.  Only
+// the members of the spec's kind are used.
+struct KernelState {
+  // kTopK / kFlowSizeHistogram: per-flow byte totals.
+  FlowBytesMap flow_bytes;
+  // kFlowList: distinct (flow, path) pairs in the order first added, and the
+  // dedup index over them (path hash seeded by the flow -> index into
+  // `flows`).  The hash only buckets; equality is exact, so a 64-bit
+  // collision cannot change the answer.
+  std::vector<KernelFlow> flows;
+  std::unordered_multimap<uint64_t, size_t> flow_index;
+  // kCountSummary: byte/packet totals.
+  CountSummary count;
 
-// The per-agent accumulator: one partial per TIB shard (a FlowBytesMap
-// for the per-flow kinds, an append buffer of RecordDeltaItems for the
+  // Everything KernelFinalize reads — all but the dedup index, which
+  // would roughly double the copy of a FlowList state.
+  KernelState FinalizeInputs() const;
+};
+
+// The one record filter: does `rec` belong to the query?  Range overlap
+// plus the (wildcardable) link match.  The poll scan, the insert hook
+// and the resync snapshot all call it.
+bool KernelAdmits(const StandingQuerySpec& spec, const TibRecord& rec);
+
+// Adds one admitted record to `state`.  FlowList keeps the first
+// occurrence of each (flow, path) pair with its smallest id; the other
+// kinds sum.  Zero-byte records still create their flow's key.
+void KernelAdd(const StandingQuerySpec& spec, KernelState& state, uint64_t id,
+               const TibRecord& rec);
+
+// Folds one shipped delta into a host's state, each item added by
+// KernelAdd's body for the kind: per-flow sums (either per-flow kind)
+// or records (FlowList / CountSummary, by the spec).
+void KernelFold(KernelState& state, const FlowBytesDelta& delta);
+void KernelFold(const StandingQuerySpec& spec, KernelState& state, const RecordDelta& delta);
+
+// One host's result from its states (one per TIB shard in a poll, one
+// per host at the controller).  Per-shard states are key-disjoint (a
+// flow lives in exactly one shard, and with it every duplicate of its
+// (flow, path) pairs), so the result is the same at any shard count:
+// TopK sorts to a total order, FlowList orders by first id.
+QueryResult KernelFinalize(const StandingQuerySpec& spec, std::span<const KernelState> states);
+
+// A poll: fills one state per shard of `tib` (shard-parallel on the
+// TIB's scan pool, Tib::ScanShards) and finalizes them.  Byte-identical
+// at any shard and scan-worker count.
+QueryResult KernelPoll(const StandingQuerySpec& spec, const Tib& tib);
+
+// The per-agent accumulator: one partial per TIB shard (a KernelState
+// for the per-flow kinds, an append buffer of admitted records for the
 // record kinds), updated by a Tib insert hook under that shard's lock,
 // drained by TakeDelta on epoch ticks.  Construction installs the hook;
 // destruction removes it (after which no update is running — the Tib
@@ -179,20 +216,21 @@ class StandingQueryAccumulator {
   // Resync: one full epoch-boundary snapshot of the standing state.
   // Under each shard's exclusive lock the pending partial is discarded
   // and the shard's stored records are re-scanned through the same
-  // filter OnInsert applies, so the result equals "all matching records
-  // inserted so far" — records inserted before a shard's visit are in
-  // its scan, records inserted after land in the freshly-cleared partial
-  // and ship with the NEXT delta; nothing is counted twice or dropped.
-  // Always consumes an epoch number and always returns a delta (marked
-  // snapshot=true), even when empty.  Cost is O(TIB records) — resync
-  // only, never the steady state.
+  // per-record step the insert hook runs, so the result equals "all
+  // matching records inserted so far" — records inserted before a
+  // shard's visit are in its scan, records inserted after land in the
+  // freshly-cleared partial and ship with the NEXT delta; nothing is
+  // counted twice or dropped.  Always consumes an epoch number and
+  // always returns a delta (marked snapshot=true), even when empty.
+  // Cost is O(TIB records) — resync only, never the steady state.
   //
   // Under a TIB memory ceiling the re-scan covers the RETAINED window
   // only (retired segments no longer exist), so a post-eviction snapshot
   // re-baselines the stream to the window a poll query would see — by
-  // design: incremental folds stay exact over the full history (OnInsert
-  // saw every record before its segment could retire), while any resync
-  // adopts window-scoped semantics, matching window-scoped polls.
+  // design: incremental folds stay exact over the full history (the
+  // insert hook saw every record before its segment could retire), while
+  // any resync adopts window-scoped semantics, matching window-scoped
+  // polls.
   QueryDelta TakeSnapshot();
 
   uint64_t subscription_id() const { return subscription_id_; }
@@ -200,23 +238,10 @@ class StandingQueryAccumulator {
   const StandingQuerySpec& spec() const { return spec_; }
 
  private:
-  // Runs under the owning shard's lock, inside Tib::Insert.
-  void OnInsert(size_t shard_index, uint64_t record_id, const TibRecord& rec);
-  // The record filter OnInsert and TakeSnapshot share (range overlap +
-  // link match) — one definition so a snapshot can never disagree with
-  // the increments about which records belong to the subscription.
-  bool Matches(const TibRecord& rec) const;
-
-  const uint64_t subscription_id_;
-  const HostId host_;
-  const StandingQuerySpec spec_;
-  const bool match_all_links_;
-  Tib* const tib_;
-  int hook_id_ = -1;
-  // Per-shard buffer entry for the record kinds: the path stays in its
-  // stored CompactPath form so the insert hook does no decoding (and no
-  // per-path allocation) under the shard lock; TakeDelta decodes once
-  // per shipped record, outside the insert path.
+  // A record-kind buffer entry: the path stays in its stored CompactPath
+  // form so the insert hook does no decoding (and no per-path
+  // allocation) under the shard lock; the delta decodes once per shipped
+  // record, outside the insert path.
   struct CompactRecordEntry {
     uint64_t id;
     FiveTuple flow;
@@ -224,12 +249,28 @@ class StandingQueryAccumulator {
     uint64_t bytes;
     uint32_t pkts;
   };
+  // One TIB shard's pending increment; only the member matching the
+  // spec's kind is used.
+  struct ShardPartial {
+    KernelState state;                        // per-flow kinds
+    std::vector<CompactRecordEntry> records;  // record kinds
+  };
 
-  // partial_[s] / record_partial_[s] are guarded by TIB shard s's lock
-  // (writes from OnInsert and swaps from TakeDelta both hold it).  Only
-  // the shape matching spec_.kind is ever touched.
-  std::vector<FlowBytesMap> partial_;
-  std::vector<std::vector<CompactRecordEntry>> record_partial_;
+  // The per-record step of the insert hook and the resync scan alike:
+  // KernelAdmits, then KernelAdd (per-flow kinds) or an append (record
+  // kinds).  Caller holds the record's shard lock.
+  void Collect(ShardPartial& partial, uint64_t record_id, const TibRecord& rec) const;
+  // Canonicalizes drained per-shard partials into the delta's payload.
+  void FillPayload(std::vector<ShardPartial>& drained, QueryDelta& delta) const;
+
+  const uint64_t subscription_id_;
+  const HostId host_;
+  const StandingQuerySpec spec_;
+  Tib* const tib_;
+  int hook_id_ = -1;
+  // partial_[s] is guarded by TIB shard s's lock (writes from the insert
+  // hook and swaps from TakeDelta / TakeSnapshot all hold it).
+  std::vector<ShardPartial> partial_;
   // Serializes concurrent epoch ticks; ordered before shard locks.
   std::mutex tick_mu_;
   uint64_t next_epoch_ = 1;  // guarded by tick_mu_

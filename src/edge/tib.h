@@ -6,13 +6,12 @@
 // deliberate substitution documented in DESIGN.md) sharded by flow hash:
 // `FiveTupleHash(flow) % num_shards` picks the shard, and each shard owns
 // its own record column, by-flow index, and reader/writer lock.  Inserts
-// and per-flow lookups therefore touch exactly one shard, while full scans
-// (RecordsOnLink, the per-flow byte aggregation behind TopK and the
-// flow-size distribution) fan out shard-parallel over an optional
-// ThreadPool and merge per-shard partials with a deterministic ordered
-// reduce.  All other lookups are scans — mirroring the document-store
-// access pattern, and keeping a 240 K-record TIB around the ~110 MB the
-// paper reports (ours is far smaller per record).
+// and per-flow lookups therefore touch exactly one shard, while the full
+// scan behind every poll (ScanShards) fans out shard-parallel over an
+// optional ThreadPool, and the query kernel merges its per-shard states
+// with a deterministic ordered reduce.  All other lookups are scans, as
+// in the document store, keeping a 240 K-record TIB around the ~110 MB
+// the paper reports (ours is far smaller per record).
 //
 // Bounded memory (epoch-windowed eviction): each shard's record column is
 // a ring of epoch-stamped segments.  Inserts append to the shard's open
@@ -67,7 +66,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/common/flow_delta.h"
 #include "src/common/types.h"
 #include "src/edge/query.h"
 
@@ -166,11 +164,12 @@ struct TibMemoryStats {
   size_t segment_count = 0;        // retained segments, summed over shards
 };
 
-// FlowBytesMap — the per-flow byte aggregation shared by TopK and
-// FlowSizeDistribution — lives in src/common/flow_delta.h (standing-query
-// epoch deltas canonicalize the same shape).  Sharding by flow hash means
-// each flow lives in exactly one shard, so per-shard partial maps are
-// key-disjoint.
+// Queries over the TIB (top-k, flow-size distribution, getFlows,
+// getCount) are not Tib methods: each kind has one aggregation kernel
+// (src/edge/standing_query.h) that a poll runs over ScanShards and a
+// standing query runs from an insert hook.  Sharding by flow hash means
+// each flow lives in exactly one shard, so the kernel's per-shard states
+// are key-disjoint.
 
 class Tib {
  public:
@@ -238,30 +237,24 @@ class Tib {
   bool ForEachRecordOfFlow(const FiveTuple& flow, const TimeRange& range,
                            const std::function<void(size_t id, const TibRecord& rec)>& fn) const;
 
-  // Ids of records whose path matches the (wildcardable) link query and
-  // that overlap the range, ascending.  (<*, *>) matches every record.
-  // Shard-parallel when a scan pool is set.
-  std::vector<size_t> RecordsOnLink(const LinkId& link, const TimeRange& range) const;
+  // The one scan primitive behind every poll (KernelPoll,
+  // src/edge/standing_query.h): fn(shard_index, id, rec) for every
+  // retained record, each shard under its shared lock in ascending id
+  // order, shards in parallel on the scan pool when one is set.  Calls
+  // for one shard never overlap, so fn may update per-shard state indexed
+  // by shard_index without a lock of its own; the callback restrictions
+  // of ForEachRecord apply.  A template so the per-record call inlines.
+  template <typename Fn>
+  void ScanShards(Fn&& fn) const {
+    ForEachShardTask([&](size_t si) {
+      const Shard& s = *shards_[si];
+      std::shared_lock<std::shared_mutex> lock(s.mu);
+      s.ForEachStored([&](uint64_t id, const TibRecord& rec) { fn(si, id, rec); });
+    });
+  }
 
-  // Per-flow byte totals over records overlapping `range` whose path
-  // matches `link` ((<*, *>) aggregates every record).  Shard-parallel;
-  // the merge concatenates key-disjoint per-shard maps, so totals are
-  // deterministic at any shard/worker count.
-  FlowBytesMap AggregateFlowBytes(const LinkId& link, const TimeRange& range) const;
-
-  // Byte/packet totals over records overlapping `range` whose path
-  // matches `link` ((<*, *>) counts every record) — the per-host getCount
-  // aggregate behind standing CountSummary subscriptions.  Shard-parallel;
-  // commutative integer sums, so totals are deterministic at any
-  // shard/worker count.
-  CountSummary CountOnLink(const LinkId& link, const TimeRange& range) const;
-
-  // Distinct (flow, path) pairs on a link (the getFlows scan), in order of
-  // first appearance.  Shard-parallel with an ordered reduce by first id.
-  std::vector<Flow> FlowsOnLink(const LinkId& link, const TimeRange& range) const;
-
-  // Non-owning pool used by the scan queries above; nullptr (the default)
-  // scans shards sequentially on the calling thread.
+  // Non-owning pool used by ScanShards; nullptr (the default) scans
+  // shards sequentially on the calling thread.
   void SetScanPool(ThreadPool* pool) { scan_pool_.store(pool, std::memory_order_release); }
 
   // --- Insert hooks (the standing-query attachment point) ---
@@ -393,16 +386,9 @@ class Tib {
   // concurrent inserters never convoy behind one retirement pass.
   void TryEnforceCeiling();
 
-  // Runs fn(shard_index) for every shard — on the scan pool when one is
-  // set, else inline.  fn takes its own shard lock.
-  template <typename PerShard>
-  void ForEachShardParallel(PerShard&& fn) const;
-
-  // Shared scan scaffolding: one Acc per shard, filled under that shard's
-  // shared lock (in parallel when a scan pool is set), returned in shard
-  // order for the caller's deterministic ordered reduce.
-  template <typename Acc, typename Fill>
-  std::vector<Acc> CollectShardPartials(Fill&& fill) const;
+  // Runs task(shard_index) once per shard — on the scan pool when one is
+  // set, else inline on the calling thread.
+  void ForEachShardTask(const std::function<void(size_t shard_index)>& task) const;
 
   TibOptions options_;
   std::vector<std::unique_ptr<Shard>> shards_;

@@ -92,10 +92,19 @@ TEST(TibTest, LinkQueries) {
   FiveTuple f1{1, 2, 10, 80, 6};
   tib.Insert(MakeRecord(f1, {1, 2, 3}, 0, 100, 1000, 2));
   tib.Insert(MakeRecord(f1, {1, 4, 3}, 0, 100, 500, 1));
-  EXPECT_EQ(tib.RecordsOnLink(LinkId{1, 2}, TimeRange::All()).size(), 1u);
-  EXPECT_EQ(tib.RecordsOnLink(LinkId{kInvalidNode, 3}, TimeRange::All()).size(), 2u);
-  EXPECT_EQ(tib.RecordsOnLink(LinkId{kInvalidNode, kInvalidNode}, TimeRange::All()).size(), 2u);
-  EXPECT_EQ(tib.RecordsOnLink(LinkId{1, 2}, TimeRange{200, 300}).size(), 0u);
+  // Counts name the matching records (1000 B / 2 pkts and 500 B / 1 pkt);
+  // the flow list names their distinct paths.
+  using testutil::PollCount;
+  using testutil::PollFlows;
+  EXPECT_EQ(PollCount(tib, LinkId{1, 2}, TimeRange::All()), (CountSummary{1000, 2}));
+  EXPECT_EQ(PollFlows(tib, LinkId{1, 2}, TimeRange::All()).size(), 1u);
+  EXPECT_EQ(PollCount(tib, LinkId{kInvalidNode, 3}, TimeRange::All()), (CountSummary{1500, 3}));
+  EXPECT_EQ(PollFlows(tib, LinkId{kInvalidNode, 3}, TimeRange::All()).size(), 2u);
+  EXPECT_EQ(PollCount(tib, LinkId{kInvalidNode, kInvalidNode}, TimeRange::All()),
+            (CountSummary{1500, 3}));
+  EXPECT_EQ(PollFlows(tib, LinkId{kInvalidNode, kInvalidNode}, TimeRange::All()).size(), 2u);
+  EXPECT_EQ(PollCount(tib, LinkId{1, 2}, TimeRange{200, 300}), (CountSummary{0, 0}));
+  EXPECT_TRUE(PollFlows(tib, LinkId{1, 2}, TimeRange{200, 300}).empty());
 }
 
 TEST(TibTest, ApproxBytesGrows) {

@@ -322,7 +322,8 @@ TEST_P(TimeRangeSweep, OverlapSemantics) {
   rec.pkts = 1;
   tib.Insert(rec);
   EXPECT_EQ(tib.RecordsOfFlow(rec.flow, probe.range).size(), probe.hit ? 1u : 0u);
-  EXPECT_EQ(tib.RecordsOnLink(LinkId{1, 2}, probe.range).size(), probe.hit ? 1u : 0u);
+  EXPECT_EQ(testutil::PollCount(tib, LinkId{1, 2}, probe.range),
+            (probe.hit ? CountSummary{10, 1} : CountSummary{}));
 }
 
 INSTANTIATE_TEST_SUITE_P(Probes, TimeRangeSweep, ::testing::Range(0, 7));

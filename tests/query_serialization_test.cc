@@ -99,19 +99,19 @@ TEST(SerializationConsistency, QueryDeltaFramingAndMaterialization) {
                      {FiveTuple{1, 2, 20, 80, kProtoTcp}, 900}};
   EXPECT_EQ(d.SerializedSize(), 24u + 16u + 2u * 21u);
 
-  // Materializing the folded payload yields a result whose size obeys
-  // the golden framing for its own type.
-  FlowBytesMap folded;
-  d.payload.ApplyTo(folded);
+  // Finalizing the folded payload yields a result whose size obeys the
+  // golden framing for its own type.
   StandingQuerySpec topk;
   topk.kind = StandingQuerySpec::Kind::kTopK;
   topk.k = 10;
-  QueryResult r = MaterializeStandingResult(topk, folded);
+  KernelState folded;
+  KernelFold(folded, d.payload);
+  QueryResult r = KernelFinalize(topk, std::span(&folded, 1));
   EXPECT_EQ(SerializedBytes(r), 16u + 2u * 21u);
   StandingQuerySpec hist;
   hist.kind = StandingQuerySpec::Kind::kFlowSizeHistogram;
   hist.bin_width = 1000;
-  QueryResult h = MaterializeStandingResult(hist, folded);
+  QueryResult h = KernelFinalize(hist, std::span(&folded, 1));
   // Two flows in bins 0 and... 500/1000 = 0 and 900/1000 = 0: one bin.
   EXPECT_EQ(std::get<FlowSizeHistogram>(h).bins.size(), 1u);
   EXPECT_EQ(SerializedBytes(h), 16u + 8u + 1u * 12u);
@@ -135,12 +135,12 @@ TEST(SerializationConsistency, RecordDeltaFramingFoldAndMaterialization) {
   // first-appearance (ascending id) order; CountSummary sums every item.
   StandingQuerySpec list_spec;
   list_spec.kind = StandingQuerySpec::Kind::kFlowList;
-  RecordFoldState state;
-  state.Fold(list_spec, rd);
+  KernelState state;
+  KernelFold(list_spec, state, rd);
   RecordDelta dup;  // same (flow, path) as item 1 but a later id
   dup.items.push_back(RecordDeltaItem{12, FiveTuple{1, 2, 10, 80, kProtoTcp}, {1, 2}, 100, 1});
-  state.Fold(list_spec, dup);
-  QueryResult list = MaterializeStandingRecords(list_spec, state);
+  KernelFold(list_spec, state, dup);
+  QueryResult list = KernelFinalize(list_spec, std::span(&state, 1));
   const auto& fl = std::get<FlowList>(list);
   ASSERT_EQ(fl.flows.size(), 2u);
   EXPECT_EQ(fl.flows[0].id.src_port, 10);  // id 5 before id 9
@@ -148,10 +148,10 @@ TEST(SerializationConsistency, RecordDeltaFramingFoldAndMaterialization) {
 
   StandingQuerySpec count_spec;
   count_spec.kind = StandingQuerySpec::Kind::kCountSummary;
-  RecordFoldState cstate;
-  cstate.Fold(count_spec, rd);
-  cstate.Fold(count_spec, dup);
-  QueryResult count = MaterializeStandingRecords(count_spec, cstate);
+  KernelState cstate;
+  KernelFold(count_spec, cstate, rd);
+  KernelFold(count_spec, cstate, dup);
+  QueryResult count = KernelFinalize(count_spec, std::span(&cstate, 1));
   EXPECT_EQ(std::get<CountSummary>(count), (CountSummary{1500, 8}));
 }
 

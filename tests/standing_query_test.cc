@@ -410,107 +410,137 @@ TEST(StandingQueryOrdering, OrphanedDeltasAreCountedNotFolded) {
 // the subscription's own id and a capturing sink), then replayed into
 // SubmitDelta in a shuffled order with random duplicates and orphans
 // injected.  After the full fold every kind must equal its poll
-// twin.  On mismatch the failing seed is in the assertion message —
-// rerun with it to reproduce.
+// twin.  Two spec sets run: the open-ended range on the probe link, and
+// a bounded range that cuts through the records' times (0..3605 s) on a
+// half-wildcard link, so the shared record filter is exercised off the
+// open-ended path too.  On mismatch the failing seed and spec set are in
+// the assertion message — rerun with them to reproduce.
 
 TEST(StandingQueryProperty, RandomizedArrivalsFoldToPollIdentityAllKinds) {
   const int kEpochs = 6;
   const int kPerEpoch = 700;
-  for (uint32_t seed : {0xF00Du, 0xBEEFu, 0x5EED1u, 0x5EED2u}) {
-    Rng rng(seed);
-    Testbed tb(1, 4);
-    EdgeAgent& agent = *tb.agents[0];
-    SubscriptionManager manager(&tb.controller);
+  struct SpecSet {
+    TimeRange range;
+    LinkId link;
+  };
+  const SpecSet spec_sets[] = {
+      {TimeRange::All(), kProbeLink},
+      {TimeRange{900 * kNsPerSec, 2700 * kNsPerSec}, LinkId{kInvalidNode, 7}}};
+  for (size_t set_index = 0; set_index < std::size(spec_sets); ++set_index) {
+    for (uint32_t seed : {0xF00Du, 0xBEEFu, 0x5EED1u, 0x5EED2u}) {
+      const SpecSet set = spec_sets[set_index];
+      SCOPED_TRACE(testing::Message() << "spec set " << set_index);
+      Rng rng(seed);
+      Testbed tb(1, 4);
+      EdgeAgent& agent = *tb.agents[0];
+      SubscriptionManager manager(&tb.controller);
 
-    StandingQuerySpec topk_spec;
-    topk_spec.kind = StandingQuerySpec::Kind::kTopK;
-    topk_spec.k = kTopK;
-    StandingQuerySpec hist_spec;
-    hist_spec.kind = StandingQuerySpec::Kind::kFlowSizeHistogram;
-    hist_spec.bin_width = kBinWidth;
-    hist_spec.link = kProbeLink;
-    StandingQuerySpec list_spec;
-    list_spec.kind = StandingQuerySpec::Kind::kFlowList;
-    list_spec.link = kProbeLink;
-    StandingQuerySpec count_spec;
-    count_spec.kind = StandingQuerySpec::Kind::kCountSummary;
-    count_spec.link = kProbeLink;
+      StandingQuerySpec topk_spec;
+      topk_spec.kind = StandingQuerySpec::Kind::kTopK;
+      topk_spec.k = kTopK;
+      topk_spec.range = set.range;
+      StandingQuerySpec hist_spec;
+      hist_spec.kind = StandingQuerySpec::Kind::kFlowSizeHistogram;
+      hist_spec.bin_width = kBinWidth;
+      hist_spec.link = set.link;
+      hist_spec.range = set.range;
+      StandingQuerySpec list_spec;
+      list_spec.kind = StandingQuerySpec::Kind::kFlowList;
+      list_spec.link = set.link;
+      list_spec.range = set.range;
+      StandingQuerySpec count_spec;
+      count_spec.kind = StandingQuerySpec::Kind::kCountSummary;
+      count_spec.link = set.link;
+      count_spec.range = set.range;
 
-    struct KindUnderTest {
-      uint64_t sub = 0;
-      int capture_id = -1;
-      Controller::QueryFn poll;
-    };
-    std::vector<QueryDelta> captured;
-    std::vector<KindUnderTest> kinds;
-    const std::vector<std::pair<StandingQuerySpec, Controller::QueryFn>> kind_specs = {
-        {topk_spec, PollTopK()},
-        {hist_spec, PollHistogram()},
-        {list_spec, PollFlowList()},
-        {count_spec, PollCount()}};
-    for (const auto& [spec, poll] : kind_specs) {
-      KindUnderTest k;
-      k.sub = manager.SubscribeRemote(tb.hosts, spec);
-      k.capture_id = agent.RegisterStandingQuery(
-          k.sub, spec, [&captured](QueryDelta&& d) { captured.push_back(std::move(d)); });
-      k.poll = poll;
-      kinds.push_back(std::move(k));
-    }
-
-    std::vector<TibRecord> records =
-        MakeRecords(kEpochs * kPerEpoch, 0xAB00 + seed);
-    for (int epoch = 0; epoch < kEpochs; ++epoch) {
-      for (int i = epoch * kPerEpoch; i < (epoch + 1) * kPerEpoch; ++i) {
-        agent.tib().Insert(records[size_t(i)]);
+      struct KindUnderTest {
+        uint64_t sub = 0;
+        int capture_id = -1;
+        Controller::QueryFn poll;
+      };
+      std::vector<QueryDelta> captured;
+      std::vector<KindUnderTest> kinds;
+      const std::vector<std::pair<StandingQuerySpec, Controller::QueryFn>> kind_specs = {
+          {topk_spec, [set](EdgeAgent& a) -> QueryResult { return a.TopK(kTopK, set.range); }},
+          {hist_spec,
+           [set](EdgeAgent& a) -> QueryResult {
+             return a.FlowSizeDistribution(set.link, set.range, kBinWidth);
+           }},
+          {list_spec,
+           [set](EdgeAgent& a) -> QueryResult {
+             return FlowList{a.GetFlows(set.link, set.range)};
+           }},
+          {count_spec,
+           [set](EdgeAgent& a) -> QueryResult { return a.CountOnLink(set.link, set.range); }}};
+      for (const auto& [spec, poll] : kind_specs) {
+        KindUnderTest k;
+        k.sub = manager.SubscribeRemote(tb.hosts, spec);
+        k.capture_id = agent.RegisterStandingQuery(
+            k.sub, spec, [&captured](QueryDelta&& d) { captured.push_back(std::move(d)); });
+        k.poll = poll;
+        kinds.push_back(std::move(k));
       }
-      agent.EpochTick();
-    }
-    for (const KindUnderTest& k : kinds) {
-      agent.UnregisterStandingQuery(k.capture_id);
-    }
 
-    // Build the adversarial schedule: every captured delta exactly once,
-    // plus random duplicates and orphans, in a seeded random order.
-    // Shuffling alone yields gapped + out-of-order arrivals (a later
-    // epoch drawn before an earlier one must buffer).
-    std::vector<QueryDelta> schedule = captured;
-    uint64_t injected_junk = 0;
-    for (const QueryDelta& d : captured) {
-      if (rng.Bernoulli(0.3)) {
-        schedule.push_back(d);  // duplicate: must fold at most once
+      std::vector<TibRecord> records =
+          MakeRecords(kEpochs * kPerEpoch, 0xAB00 + seed);
+      for (int epoch = 0; epoch < kEpochs; ++epoch) {
+        for (int i = epoch * kPerEpoch; i < (epoch + 1) * kPerEpoch; ++i) {
+          agent.tib().Insert(records[size_t(i)]);
+        }
+        agent.EpochTick();
+      }
+      for (const KindUnderTest& k : kinds) {
+        agent.UnregisterStandingQuery(k.capture_id);
+      }
+      // The filter admits some records and rejects others.
+      const CountSummary admitted = agent.CountOnLink(set.link, set.range);
+      EXPECT_GT(admitted.pkts, 0u);
+      EXPECT_LT(admitted.pkts, agent.CountOnLink(LinkId{kInvalidNode, kInvalidNode},
+                                                 TimeRange::All()).pkts);
+
+      // Build the adversarial schedule: every captured delta exactly once,
+      // plus random duplicates and orphans, in a seeded random order.
+      // Shuffling alone yields gapped + out-of-order arrivals (a later
+      // epoch drawn before an earlier one must buffer).
+      std::vector<QueryDelta> schedule = captured;
+      uint64_t injected_junk = 0;
+      for (const QueryDelta& d : captured) {
+        if (rng.Bernoulli(0.3)) {
+          schedule.push_back(d);  // duplicate: must fold at most once
+          ++injected_junk;
+        }
+      }
+      for (int i = 0; i < 3; ++i) {
+        QueryDelta orphan = captured[rng.UniformInt(uint32_t(captured.size()))];
+        orphan.subscription_id = 424242 + uint64_t(i);  // never subscribed
+        schedule.push_back(std::move(orphan));
         ++injected_junk;
       }
-    }
-    for (int i = 0; i < 3; ++i) {
-      QueryDelta orphan = captured[rng.UniformInt(uint32_t(captured.size()))];
-      orphan.subscription_id = 424242 + uint64_t(i);  // never subscribed
-      schedule.push_back(std::move(orphan));
-      ++injected_junk;
-    }
-    {
-      QueryDelta stray = captured[rng.UniformInt(uint32_t(captured.size()))];
-      stray.host = HostId(9999);  // subscribed id, unknown host
-      schedule.push_back(std::move(stray));
-      ++injected_junk;
-    }
-    for (size_t i = schedule.size(); i > 1; --i) {  // Fisher-Yates
-      std::swap(schedule[i - 1], schedule[rng.UniformInt(uint32_t(i))]);
-    }
+      {
+        QueryDelta stray = captured[rng.UniformInt(uint32_t(captured.size()))];
+        stray.host = HostId(9999);  // subscribed id, unknown host
+        schedule.push_back(std::move(stray));
+        ++injected_junk;
+      }
+      for (size_t i = schedule.size(); i > 1; --i) {  // Fisher-Yates
+        std::swap(schedule[i - 1], schedule[rng.UniformInt(uint32_t(i))]);
+      }
 
-    for (QueryDelta& d : schedule) {
-      ASSERT_TRUE(manager.SubmitDelta(std::move(d)));
-    }
-    manager.Flush();
+      for (QueryDelta& d : schedule) {
+        ASSERT_TRUE(manager.SubmitDelta(std::move(d)));
+      }
+      manager.Flush();
 
-    SubscriptionManagerStats stats = manager.stats();
-    EXPECT_EQ(stats.deltas_folded, captured.size()) << "seed=" << seed;
-    EXPECT_EQ(stats.deltas_orphaned, injected_junk) << "seed=" << seed;
-    for (const KindUnderTest& k : kinds) {
-      EXPECT_EQ(manager.info(k.sub).pending_gaps, 0u) << "seed=" << seed;
-      auto [poll, pstats] = tb.controller.Execute(tb.hosts, k.poll);
-      EXPECT_EQ(manager.Materialize(k.sub), poll)
-          << "seed=" << seed << " kind="
-          << int(manager.info(k.sub).spec.kind);
+      SubscriptionManagerStats stats = manager.stats();
+      EXPECT_EQ(stats.deltas_folded, captured.size()) << "seed=" << seed;
+      EXPECT_EQ(stats.deltas_orphaned, injected_junk) << "seed=" << seed;
+      for (const KindUnderTest& k : kinds) {
+        EXPECT_EQ(manager.info(k.sub).pending_gaps, 0u) << "seed=" << seed;
+        auto [poll, pstats] = tb.controller.Execute(tb.hosts, k.poll);
+        EXPECT_EQ(manager.Materialize(k.sub), poll)
+            << "seed=" << seed << " kind="
+            << int(manager.info(k.sub).spec.kind);
+      }
     }
   }
 }

@@ -9,6 +9,7 @@
 #include "src/cherrypick/codec.h"
 #include "src/common/rng.h"
 #include "src/common/types.h"
+#include "src/edge/standing_query.h"
 #include "src/edge/tib.h"
 #include "src/topology/routing.h"
 #include "src/topology/topology.h"
@@ -88,6 +89,37 @@ inline TibRecord MakeEcmpRecord(const Topology& topo, const Router& router, size
   rec.bytes = uint64_t(rng.Pareto(1000.0, 1.3));
   rec.pkts = uint32_t(rec.bytes / 1460 + 1);
   return rec;
+}
+
+// --- Kernel polls over a bare Tib ---
+//
+// The EdgeAgent poll methods, for tests that drive a Tib without an
+// agent: each is one KernelPoll (src/edge/standing_query.h).
+
+// getCount over a link: byte/packet totals of the matching records.
+inline CountSummary PollCount(const Tib& tib, const LinkId& link, const TimeRange& range) {
+  return std::get<CountSummary>(KernelPoll(
+      {.kind = StandingQuerySpec::Kind::kCountSummary, .link = link, .range = range}, tib));
+}
+
+// getFlows: distinct (flow, path) pairs in first-appearance order.
+inline std::vector<Flow> PollFlows(const Tib& tib, const LinkId& link, const TimeRange& range) {
+  return std::get<FlowList>(KernelPoll(
+                                {.kind = StandingQuerySpec::Kind::kFlowList, .link = link,
+                                 .range = range},
+                                tib))
+      .flows;
+}
+
+// Every matching flow's byte total, as an untruncated top-k (k = 0):
+// (bytes, flow) pairs in the kernel's total order.
+inline std::vector<std::pair<uint64_t, FiveTuple>> PollFlowBytes(const Tib& tib,
+                                                                 const LinkId& link,
+                                                                 const TimeRange& range) {
+  return std::get<TopKFlows>(KernelPoll({.kind = StandingQuerySpec::Kind::kTopK, .k = 0,
+                                         .link = link, .range = range},
+                                        tib))
+      .items;
 }
 
 // Walks `path` (switch sequence) from src to dst, applying the CherryPick

@@ -226,17 +226,18 @@ TEST(TibEvictionWindow, WindowedQueriesEqualFreshTibLoadedWithRetainedRecords) {
     for (const TibRecord& rec : retained) {
       fresh.Insert(rec);
     }
-    EXPECT_EQ(tib.AggregateFlowBytes(kProbeLink, TimeRange::All()),
-              fresh.AggregateFlowBytes(kProbeLink, TimeRange::All()))
+    EXPECT_EQ(testutil::PollFlowBytes(tib, kProbeLink, TimeRange::All()),
+              testutil::PollFlowBytes(fresh, kProbeLink, TimeRange::All()))
         << "epoch " << epoch;
-    EXPECT_EQ(tib.AggregateFlowBytes(LinkId{kInvalidNode, kInvalidNode}, TimeRange::All()),
-              fresh.AggregateFlowBytes(LinkId{kInvalidNode, kInvalidNode}, TimeRange::All()));
-    CountSummary a = tib.CountOnLink(kProbeLink, TimeRange::All());
-    CountSummary b = fresh.CountOnLink(kProbeLink, TimeRange::All());
+    EXPECT_EQ(
+        testutil::PollFlowBytes(tib, LinkId{kInvalidNode, kInvalidNode}, TimeRange::All()),
+        testutil::PollFlowBytes(fresh, LinkId{kInvalidNode, kInvalidNode}, TimeRange::All()));
+    CountSummary a = testutil::PollCount(tib, kProbeLink, TimeRange::All());
+    CountSummary b = testutil::PollCount(fresh, kProbeLink, TimeRange::All());
     EXPECT_EQ(a.bytes, b.bytes);
     EXPECT_EQ(a.pkts, b.pkts);
-    std::vector<Flow> flows_seg = tib.FlowsOnLink(kProbeLink, TimeRange::All());
-    std::vector<Flow> flows_fresh = fresh.FlowsOnLink(kProbeLink, TimeRange::All());
+    std::vector<Flow> flows_seg = testutil::PollFlows(tib, kProbeLink, TimeRange::All());
+    std::vector<Flow> flows_fresh = testutil::PollFlows(fresh, kProbeLink, TimeRange::All());
     ASSERT_EQ(flows_seg.size(), flows_fresh.size()) << "epoch " << epoch;
     for (size_t i = 0; i < flows_seg.size(); ++i) {
       EXPECT_EQ(flows_seg[i].id, flows_fresh[i].id);
@@ -463,8 +464,9 @@ TEST(TibEvictionConcurrency, EvictionRacesScansInsertsAndTakeDelta) {
     std::thread scanner([&] {
       Rng rng(seed ^ 0x5CA11);
       while (!done.load(std::memory_order_acquire)) {
-        (void)agent.tib().AggregateFlowBytes(kProbeLink, TimeRange::All());
-        (void)agent.tib().RecordsOnLink(kProbeLink, TimeRange::All());
+        (void)agent.FlowSizeDistribution(kProbeLink, TimeRange::All(), kBinWidth);
+        (void)agent.CountOnLink(kProbeLink, TimeRange::All());
+        (void)agent.GetFlows(kProbeLink, TimeRange::All());
         (void)agent.tib().record(rng.UniformInt(uint32_t(kPreload + 2 * kPerWriter)));
         const TibRecord& probe = records[rng.UniformInt(uint32_t(records.size()))];
         (void)agent.tib().RecordsOfFlow(probe.flow, TimeRange::All());

@@ -1,7 +1,7 @@
 // Sharded-TIB contract tests (the PR 3 tentpole):
 //
-//  1. Determinism — TopK, FlowSizeDistribution, RecordsOnLink, and
-//     RecordsOfFlow return byte-identical results across {1, 4, 16}
+//  1. Determinism — TopK, FlowSizeDistribution, CountOnLink, GetFlows
+//     and RecordsOfFlow return byte-identical results across {1, 4, 16}
 //     shards x {1, 4, 16} scan workers at the paper's 240 K records/host.
 //  2. Concurrency — inserts racing shard-parallel scans are safe (run
 //     under ThreadSanitizer in CI) and the post-race state matches a
@@ -91,7 +91,8 @@ TEST_F(TibShardDeterminism, QueriesByteIdenticalAcrossShardAndWorkerMatrix) {
 
   TopKFlows base_topk;
   FlowSizeHistogram base_dist;
-  std::vector<size_t> base_on_link, base_into;
+  std::vector<Flow> base_on_link, base_into;
+  CountSummary base_on_link_count, base_into_count;
   std::vector<std::vector<size_t>> base_of_flow;
   bool have_base = false;
 
@@ -111,8 +112,10 @@ TEST_F(TibShardDeterminism, QueriesByteIdenticalAcrossShardAndWorkerMatrix) {
 
       TopKFlows topk = agent.TopK(1000, TimeRange::All());
       FlowSizeHistogram dist = agent.FlowSizeDistribution(probe, mid, 10000);
-      std::vector<size_t> on_link = agent.tib().RecordsOnLink(probe, TimeRange::All());
-      std::vector<size_t> into_link = agent.tib().RecordsOnLink(into, mid);
+      std::vector<Flow> on_link = agent.GetFlows(probe, TimeRange::All());
+      std::vector<Flow> into_link = agent.GetFlows(into, mid);
+      CountSummary on_link_count = agent.CountOnLink(probe, TimeRange::All());
+      CountSummary into_count = agent.CountOnLink(into, mid);
       std::vector<std::vector<size_t>> of_flow;
       for (const FiveTuple& f : sample_flows) {
         of_flow.push_back(agent.tib().RecordsOfFlow(f, mid));
@@ -124,6 +127,8 @@ TEST_F(TibShardDeterminism, QueriesByteIdenticalAcrossShardAndWorkerMatrix) {
         base_dist = dist;
         base_on_link = on_link;
         base_into = into_link;
+        base_on_link_count = on_link_count;
+        base_into_count = into_count;
         base_of_flow = of_flow;
         have_base = true;
         EXPECT_EQ(base_topk.items.size(), 1000u);
@@ -134,6 +139,9 @@ TEST_F(TibShardDeterminism, QueriesByteIdenticalAcrossShardAndWorkerMatrix) {
       EXPECT_EQ(dist, base_dist) << shards << " shards, " << workers << " workers";
       EXPECT_EQ(on_link, base_on_link) << shards << " shards, " << workers << " workers";
       EXPECT_EQ(into_link, base_into) << shards << " shards, " << workers << " workers";
+      EXPECT_EQ(on_link_count, base_on_link_count)
+          << shards << " shards, " << workers << " workers";
+      EXPECT_EQ(into_count, base_into_count) << shards << " shards, " << workers << " workers";
       EXPECT_EQ(of_flow, base_of_flow) << shards << " shards, " << workers << " workers";
     }
   }
@@ -163,7 +171,8 @@ TEST_F(TibShardDeterminism, SnapshotAndIdsPreserveInsertionOrder) {
     flat.Insert((*records_)[i]);
   }
   LinkId probe{3, 7};
-  EXPECT_EQ(tib.FlowsOnLink(probe, TimeRange::All()), flat.FlowsOnLink(probe, TimeRange::All()));
+  EXPECT_EQ(testutil::PollFlows(tib, probe, TimeRange::All()),
+            testutil::PollFlows(flat, probe, TimeRange::All()));
 }
 
 TEST_F(TibShardDeterminism, FlowLookupsMatchWithAndWithoutIndex) {
@@ -217,13 +226,12 @@ TEST(TibShardConcurrency, InsertsRaceScans) {
   for (int r = 0; r < 2; ++r) {
     readers.emplace_back([&] {
       while (!done.load(std::memory_order_acquire)) {
-        FlowBytesMap agg = tib.AggregateFlowBytes(probe, TimeRange::All());
-        std::vector<size_t> ids = tib.RecordsOnLink(probe, TimeRange::All());
-        // Ids are a monotone merge of per-shard ascending columns.
-        for (size_t i = 1; i < ids.size(); ++i) {
-          ASSERT_LT(ids[i - 1], ids[i]);
-        }
-        ASSERT_LE(agg.size(), tib.size());
+        auto agg = testutil::PollFlowBytes(tib, probe, TimeRange::All());
+        std::vector<Flow> flows = testutil::PollFlows(tib, probe, TimeRange::All());
+        // Inserts only add records, so the later scan sees every flow the
+        // earlier one did, each with at least one distinct path.
+        ASSERT_GE(flows.size(), agg.size());
+        ASSERT_LE(flows.size(), tib.size());
         scans.fetch_add(1, std::memory_order_relaxed);
       }
     });
@@ -248,12 +256,12 @@ TEST(TibShardConcurrency, InsertsRaceScans) {
   for (const TibRecord& rec : records) {
     ref.Insert(rec);
   }
-  EXPECT_EQ(tib.AggregateFlowBytes(probe, TimeRange::All()),
-            ref.AggregateFlowBytes(probe, TimeRange::All()));
-  EXPECT_EQ(tib.AggregateFlowBytes(LinkId{kInvalidNode, kInvalidNode}, TimeRange::All()),
-            ref.AggregateFlowBytes(LinkId{kInvalidNode, kInvalidNode}, TimeRange::All()));
-  EXPECT_EQ(tib.RecordsOnLink(probe, TimeRange::All()).size(),
-            ref.RecordsOnLink(probe, TimeRange::All()).size());
+  EXPECT_EQ(testutil::PollFlowBytes(tib, probe, TimeRange::All()),
+            testutil::PollFlowBytes(ref, probe, TimeRange::All()));
+  EXPECT_EQ(testutil::PollFlowBytes(tib, LinkId{kInvalidNode, kInvalidNode}, TimeRange::All()),
+            testutil::PollFlowBytes(ref, LinkId{kInvalidNode, kInvalidNode}, TimeRange::All()));
+  EXPECT_EQ(testutil::PollCount(tib, probe, TimeRange::All()),
+            testutil::PollCount(ref, probe, TimeRange::All()));
 }
 
 // --- 3. Persistence across shard counts ---
@@ -305,8 +313,10 @@ TEST(TibShardPersistence, RoundTripsAcrossMismatchedShardCounts) {
 
   // Queries agree after the double hop.
   LinkId probe{3, 7};
-  EXPECT_EQ(wide.RecordsOnLink(probe, TimeRange::All()),
-            saved.RecordsOnLink(probe, TimeRange::All()));
+  EXPECT_EQ(testutil::PollFlows(wide, probe, TimeRange::All()),
+            testutil::PollFlows(saved, probe, TimeRange::All()));
+  EXPECT_EQ(testutil::PollCount(wide, probe, TimeRange::All()),
+            testutil::PollCount(saved, probe, TimeRange::All()));
   const FiveTuple& f = records[17].flow;
   EXPECT_EQ(wide.RecordsOfFlow(f, TimeRange::All()), saved.RecordsOfFlow(f, TimeRange::All()));
   std::remove(path.c_str());
